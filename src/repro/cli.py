@@ -722,6 +722,12 @@ def _retry_from_args(args: argparse.Namespace):
 
 def _add_retry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
+        "--retry-for",
+        type=float,
+        default=0.0,
+        help="seconds to retry connecting while the server comes up",
+    )
+    parser.add_argument(
         "--retries",
         type=int,
         default=0,
@@ -740,7 +746,7 @@ def _add_retry_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.serve.client import Client, ServeError
-    from repro.serve.protocol import ErrorCode
+    from repro.serve.protocol import OPS, ErrorCode
 
     usage_codes = {
         ErrorCode.PARSE,
@@ -773,7 +779,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return EXIT_INTERNAL
     with client:
         try:
-            if args.op in ("health", "stats", "shutdown"):
+            if not OPS[args.op].source:
                 print(json.dumps(client.call(args.op), indent=2, sort_keys=True))
                 return EXIT_OK
             if args.file is None:
@@ -1044,6 +1050,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Exact data dependence analysis (Maydan/Hennessy/Lam, PLDI 1991)",
     )
     from repro import __version__
+    from repro.serve.protocol import OPS
 
     parser.add_argument(
         "--version",
@@ -1400,26 +1407,14 @@ def main(argv: list[str] | None = None) -> int:
     p_query.add_argument(
         "--op",
         default="analyze",
-        choices=[
-            "analyze",
-            "analyze_program",
-            "explain",
-            "stats",
-            "health",
-            "shutdown",
-        ],
+        # Every one-shot op; the session ops are driven by ``watch``.
+        choices=[name for name, op in OPS.items() if not op.stateful],
     )
     p_query.add_argument(
         "--pair",
         type=int,
         default=0,
         help="reference-pair index for analyze/explain (default 0)",
-    )
-    p_query.add_argument(
-        "--retry-for",
-        type=float,
-        default=0.0,
-        help="seconds to retry connecting while the server comes up",
     )
     _add_retry_flags(p_query)
     p_query.set_defaults(func=_cmd_query)
@@ -1450,12 +1445,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="URL",
         help="use a running daemon's protocol-v3 session ops "
         "(tcp://HOST:PORT) instead of analyzing in-process",
-    )
-    p_watch.add_argument(
-        "--retry-for",
-        type=float,
-        default=0.0,
-        help="seconds to retry connecting while the server comes up",
     )
     p_watch.add_argument(
         "--verify",

@@ -32,37 +32,39 @@ caller, forever.  This package is that daemon plus its client:
   crash restarts and rolling restarts.
 
 CLI entry points: ``repro serve`` and ``repro query``.
+
+The re-exports below resolve on first use, so importing one submodule —
+the CLI reads :data:`repro.serve.protocol.OPS` to build ``repro query``
+— does not import the server, router and cluster with it.
 """
 
-from repro.serve.cache import ServeCache, SingleFlight
-from repro.serve.client import Client, ServeClient, ServeError
-from repro.serve.cluster import ClusterConfig, ClusterSupervisor
-from repro.serve.pool import WorkerPool
-from repro.serve.protocol import (
-    MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
-    ErrorCode,
-)
-from repro.serve.router import ClusterRouter, HashRing, RouterConfig
-from repro.serve.server import DependenceServer, ServeConfig
+import importlib
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
-    "ErrorCode",
-    "ServeCache",
-    "SingleFlight",
-    "Client",
-    "ServeClient",
-    "ServeError",
-    "WorkerPool",
-    "DependenceServer",
-    "ServeConfig",
-    "HashRing",
-    "ClusterRouter",
-    "RouterConfig",
-    "ClusterConfig",
-    "ClusterSupervisor",
-]
+_EXPORTS = {
+    "PROTOCOL_VERSION": "repro.serve.protocol",
+    "MIN_PROTOCOL_VERSION": "repro.serve.protocol",
+    "SUPPORTED_VERSIONS": "repro.serve.protocol",
+    "ErrorCode": "repro.serve.protocol",
+    "ServeCache": "repro.serve.cache",
+    "SingleFlight": "repro.serve.cache",
+    "Client": "repro.serve.client",
+    "ServeClient": "repro.serve.client",
+    "ServeError": "repro.serve.client",
+    "WorkerPool": "repro.serve.pool",
+    "DependenceServer": "repro.serve.server",
+    "ServeConfig": "repro.serve.server",
+    "HashRing": "repro.serve.router",
+    "ClusterRouter": "repro.serve.router",
+    "RouterConfig": "repro.serve.router",
+    "ClusterConfig": "repro.serve.cluster",
+    "ClusterSupervisor": "repro.serve.cluster",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

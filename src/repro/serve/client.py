@@ -32,10 +32,10 @@ Resilience (all opt-in, zero-cost when off):
   its newline — surfaces as a typed :class:`TransportError` carrying
   the op it orphaned and any partial frame, never a raw socket error
   or ``json.JSONDecodeError``;
-* a :class:`RetryPolicy` retries *pure* ops (``analyze``,
-  ``analyze_program``, ``explain``, ``graph``, ``stats``, ``health``)
-  across automatic reconnects with exponential backoff and
-  deterministic seeded jitter, capped by a wall-clock deadline —
+* a :class:`RetryPolicy` retries *pure* ops (those the op table,
+  :data:`repro.serve.protocol.OPS`, marks pure) across automatic
+  reconnects with exponential backoff and deterministic seeded
+  jitter, capped by a wall-clock deadline —
   dependence queries are pure functions of their payload (the PLDI'91
   cascade is deterministic), so a replayed query returns the identical
   bytes and retrying is safe by construction.  ``shutdown`` is never
@@ -85,13 +85,10 @@ __all__ = [
     "parse_endpoint",
 ]
 
-#: Ops that are safe to silently re-send after a reconnect: pure
-#: functions of their payload (or read-only probes).  ``shutdown`` has
-#: a side effect and ``open_session``/``update_source`` mutate session
-#: state — those recover through the session journal instead.
-PURE_OPS = frozenset(
-    {"analyze", "analyze_program", "explain", "graph", "stats", "health"}
-)
+#: Ops that are safe to silently re-send after a reconnect, read from
+#: the op table.  The rest — ``shutdown`` and the session mutations —
+#: surface their failure; sessions recover through their journal.
+PURE_OPS = frozenset(name for name, op in protocol.OPS.items() if op.pure)
 
 #: Server error codes that mean "try again later", not "you are wrong".
 _RETRIABLE_SERVER_CODES = frozenset(

@@ -55,6 +55,12 @@ analysis.  Workers advertise the accepted list under ``frontends`` in
 their ``health`` response; this is additive, so the protocol version
 is unchanged.
 
+What each op *is* — pure or mutating, control plane or analysis,
+stateless or pinned to a session — is declared once, in :data:`OPS`.
+The server's dispatch, the router's routing, the client's retry
+eligibility and the ``repro query`` verb all read that table, so a new
+op is one row, and a row cannot be half-registered.
+
 The **canonical report** encoding (:func:`report_to_wire`) contains
 only the semantic answer — verdict, deciding test, exactness,
 distances, sorted direction vectors — never serving-state flags like
@@ -70,6 +76,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 from repro.api import DependenceReport
@@ -80,7 +87,9 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MIN_PROTOCOL_VERSION",
     "SUPPORTED_VERSIONS",
+    "Op",
     "OPS",
+    "shard_key",
     "ErrorCode",
     "ProtocolError",
     "Request",
@@ -112,17 +121,87 @@ SUPPORTED_VERSIONS = frozenset(
     range(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1)
 )
 
-OPS = frozenset(
+
+def shard_key(params: dict) -> bytes:
+    """The canonical byte key a stateless request shards on.
+
+    The canonical JSON text of the params object — the same
+    canonicalization the workers' wire fast lane keys on, so one wire
+    query maps to one byte string everywhere.  Every memo key a worker
+    derives from a request is a deterministic function of this text,
+    which is what gives each memo entry exactly one home on the ring.
+    """
+    return canonical_json(params).encode("utf-8")
+
+
+@dataclass(frozen=True)
+class Op:
+    """One wire operation's semantics.
+
+    ``pure``: the op is a pure function of its params, or a read-only
+    probe, so a client may re-send it after a reconnect.  Only pure ops
+    are ever retried; the default is the safe one.
+
+    ``control``: whichever endpoint receives the op answers it.  A
+    router does not forward it, and a worker serves it outside the
+    admission limit and the drain check.
+
+    ``session_param``: the param naming the incremental session the op
+    acts on (``None``: stateless).  A stateful op bypasses the fast
+    lane and single-flight, and shards on its session id, not on its
+    params.
+
+    ``source``: the op takes ``source`` text and the optional ``lang``.
+    """
+
+    name: str
+    pure: bool = False
+    control: bool = False
+    session_param: str | None = None
+    source: bool = False
+
+    @property
+    def stateful(self) -> bool:
+        return self.session_param is not None
+
+    @property
+    def handler(self) -> str:
+        """The method serving this op on a worker (and, for a control
+        op, on a router)."""
+        return f"_op_{self.name}"
+
+    def shard_key(self, params: dict) -> bytes | None:
+        """The ring key a forwarded request of this op homes on.
+
+        A stateless op shards on its canonical params, for cache
+        affinity.  A stateful op shards on its session id alone, so the
+        open, every later frame and every journal replay of one session
+        land on one worker.  ``None`` means a stateful op without a
+        usable session id: it has no stable home.
+        """
+        if self.session_param is None:
+            return shard_key(params)
+        sid = params.get(self.session_param)
+        if not isinstance(sid, str) or not sid:
+            return None
+        return shard_key({"session": sid})
+
+
+#: Every op the protocol speaks, by name.
+OPS = MappingProxyType(
     {
-        "analyze",
-        "analyze_program",
-        "explain",
-        "stats",
-        "health",
-        "shutdown",
-        "open_session",
-        "update_source",
-        "graph",
+        op.name: op
+        for op in (
+            Op("analyze", pure=True, source=True),
+            Op("analyze_program", pure=True, source=True),
+            Op("explain", pure=True, source=True),
+            Op("stats", pure=True, control=True),
+            Op("health", pure=True, control=True),
+            Op("shutdown", control=True),
+            Op("open_session", session_param="session_id", source=True),
+            Op("update_source", session_param="session", source=True),
+            Op("graph", pure=True, session_param="session"),
+        )
     }
 )
 
@@ -218,7 +297,7 @@ def decode_request(line: str | bytes) -> Request:
         raise ProtocolError(
             ErrorCode.VERSION,
             f"protocol version {version!r} not supported "
-            f"(server speaks {MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION})",
+            f"(supported: {MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION})",
             request_id,
         )
     op = blob.get("op")

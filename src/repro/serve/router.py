@@ -27,6 +27,9 @@ Analysis requests therefore never get lost: the client either receives
 the worker's answer or the replayed answer from the re-sharded ring,
 bit-identical either way (workers share one deterministic analyzer).
 
+Which ops terminate here, which forward, and what each shards on is
+read from the op table, :data:`repro.serve.protocol.OPS`.
+
 Control ops terminate at the router: ``health`` advertises
 ``cluster: true`` plus the live worker set (the protocol-version-2
 capability frame old clients simply ignore), ``stats`` merges the
@@ -58,48 +61,9 @@ from typing import Any, Callable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
-from repro.serve.protocol import ErrorCode
+from repro.serve.protocol import ErrorCode, ProtocolError, shard_key
 
 __all__ = ["HashRing", "RouterConfig", "ClusterRouter", "shard_key"]
-
-# Analysis ops are forwarded to a worker; control ops terminate at the
-# router.  Session ops forward too, but shard on the *session id* (see
-# ``_key_for``) so every frame of one durable session pins to one home.
-_SESSION_OPS = frozenset({"open_session", "update_source", "graph"})
-_FORWARDED_OPS = (
-    frozenset({"analyze", "analyze_program", "explain"}) | _SESSION_OPS
-)
-
-
-def shard_key(params: dict) -> bytes:
-    """The canonical byte key a request shards on.
-
-    The canonical JSON text of the params object — the same
-    canonicalization the workers' wire fast lane keys on, so one wire
-    query maps to one byte string everywhere.  Every memo key a worker
-    derives from a request is a deterministic function of this text,
-    which is what gives each memo entry exactly one home on the ring.
-    """
-    return protocol.canonical_json(params).encode("utf-8")
-
-
-def _session_id_of(op: str, params: dict) -> Any:
-    """The durable session id a session op carries (None when absent)."""
-    return params.get("session_id") if op == "open_session" else params.get("session")
-
-
-def _key_for(op: str, params: dict) -> bytes:
-    """The ring key one request homes on.
-
-    Analysis ops shard on their canonical params (cache affinity);
-    session ops shard on the session id alone, so ``open_session`` and
-    every later ``update_source``/``graph`` for that id — including
-    journal replays after a failover — land on the same worker.
-    """
-    if op in _SESSION_OPS:
-        sid = _session_id_of(op, params)
-        return protocol.canonical_json({"session": sid}).encode("utf-8")
-    return shard_key(params)
 
 
 class HashRing:
@@ -420,8 +384,15 @@ class ClusterRouter:
                 await session.close()
 
     # -- control plane -----------------------------------------------------
+    #
+    # Control ops terminate here; each is async because ``stats`` must
+    # ask every worker.
 
-    def _health(self) -> dict:
+    async def _op_shutdown(self) -> dict:
+        self.request_shutdown()
+        return {"draining": True}
+
+    async def _op_health(self) -> dict:
         import repro
 
         return {
@@ -439,7 +410,7 @@ class ClusterRouter:
             "inflight": self._pending_total,
         }
 
-    async def _stats(self) -> dict:
+    async def _op_stats(self) -> dict:
         merged = MetricsRegistry()
         merged.merge(self.registry)
         workers: dict[str, Any] = {}
@@ -538,112 +509,46 @@ class _ClientSession:
     async def _handle_line(self, line: bytes) -> None:
         router = self.router
         try:
-            blob = json.loads(line)
-        except ValueError as err:
+            request = protocol.decode_request(line)
+        except ProtocolError as err:
             await self._respond(
-                protocol.error_response(
-                    None, ErrorCode.PARSE, f"invalid JSON: {err}"
-                )
+                protocol.error_response(err.request_id, err.code, err.message)
             )
             return
-        if not isinstance(blob, dict):
-            await self._respond(
-                protocol.error_response(
-                    None, ErrorCode.PARSE, "request must be a JSON object"
-                )
-            )
-            return
-        request_id = blob.get("id")
-        version = blob.get("v", protocol.PROTOCOL_VERSION)
-        if (
-            not isinstance(version, int)
-            or version not in protocol.SUPPORTED_VERSIONS
-        ):
-            await self._respond(
-                protocol.error_response(
-                    request_id,
-                    ErrorCode.VERSION,
-                    f"protocol version {version!r} not supported "
-                    f"(router speaks {protocol.MIN_PROTOCOL_VERSION}.."
-                    f"{protocol.PROTOCOL_VERSION})",
-                )
-            )
-            return
-        op = blob.get("op")
-        if not isinstance(op, str) or not op:
-            await self._respond(
-                protocol.error_response(
-                    request_id, ErrorCode.BAD_REQUEST, "missing 'op' field"
-                )
-            )
-            return
-        if op not in protocol.OPS:
-            await self._respond(
-                protocol.error_response(
-                    request_id,
-                    ErrorCode.UNSUPPORTED,
-                    f"unknown op {op!r} "
-                    f"(supported: {', '.join(sorted(protocol.OPS))})",
-                )
-            )
-            return
-        router.registry.inc_family("cluster.requests", op)
-        params = blob.get("params", {})
-        if not isinstance(params, dict):
-            await self._respond(
-                protocol.error_response(
-                    request_id,
-                    ErrorCode.BAD_REQUEST,
-                    "'params' must be an object",
-                )
-            )
+        spec = protocol.OPS[request.op]
+        router.registry.inc_family("cluster.requests", request.op)
+        if spec.control:
+            result = await getattr(router, spec.handler)()
+            await self._respond(protocol.ok_response(request.id, result))
             return
 
-        if op == "health":
-            await self._respond(
-                protocol.ok_response(request_id, router._health())
-            )
-            return
-        if op == "stats":
-            await self._respond(
-                protocol.ok_response(request_id, await router._stats())
-            )
-            return
-        if op == "shutdown":
-            router.request_shutdown()
-            await self._respond(
-                protocol.ok_response(request_id, {"draining": True})
-            )
-            return
-
-        if op in _SESSION_OPS:
+        key = spec.shard_key(request.params)
+        if key is None:
             # Durable sessions pin to the ring by their client-minted
             # id; without one there is no stable home to pin to (the
             # old per-connection server-allocated ids cannot survive a
             # failover), so the router requires it.
-            sid = _session_id_of(op, params)
-            if not isinstance(sid, str) or not sid:
-                await self._respond(
-                    protocol.error_response(
-                        request_id,
-                        ErrorCode.BAD_REQUEST,
-                        f"{op!r} through a cluster router needs a "
-                        "client-minted session id (durable-session "
-                        "clients send one automatically)",
-                    )
+            await self._respond(
+                protocol.error_response(
+                    request.id,
+                    ErrorCode.BAD_REQUEST,
+                    f"{request.op!r} through a cluster router needs a "
+                    "client-minted session id (durable-session "
+                    "clients send one automatically)",
                 )
-                return
+            )
+            return
         if router.draining or router._shutdown_requested.is_set():
             router.registry.inc_family(
                 "serve.errors", ErrorCode.SHUTTING_DOWN
             )
             await self._respond(
                 protocol.error_response(
-                    request_id, ErrorCode.SHUTTING_DOWN, "cluster is draining"
+                    request.id, ErrorCode.SHUTTING_DOWN, "cluster is draining"
                 )
             )
             return
-        await self._forward(request_id, _key_for(op, params), line)
+        await self._forward(request.id, key, line)
 
     async def _forward(
         self, request_id: Any, key: bytes, line: bytes
@@ -791,13 +696,11 @@ class _ClientSession:
 
     async def _replay(self, line: bytes) -> None:
         """Re-route one request whose original home left the ring."""
-        router = self.router
-        try:
-            blob = json.loads(line)
-            request_id = blob.get("id")
-            op = blob.get("op")
-            params = blob.get("params", {})
-        except ValueError:  # pragma: no cover - we forwarded valid JSON
-            return
-        router.registry.inc("cluster.replayed")
-        await self._forward(request_id, _key_for(op, params), line)
+        # The line decoded and had a home when first forwarded.
+        request = protocol.decode_request(line)
+        self.router.registry.inc("cluster.replayed")
+        await self._forward(
+            request.id,
+            protocol.OPS[request.op].shard_key(request.params),
+            line,
+        )

@@ -494,13 +494,6 @@ class DependenceServer:
         except (ConnectionError, RuntimeError):
             pass  # client went away; the work still warmed the cache
 
-    #: Ops that mutate per-connection session state.  They bypass the
-    #: fast lane and single-flight — replaying a cached answer or
-    #: coalescing two updates would skip a state transition — but share
-    #: the draining check, admission limit, worker pool and deadline
-    #: with every other analysis op.
-    _STATEFUL_OPS = frozenset({"open_session", "update_source", "graph"})
-
     async def _dispatch(
         self,
         request: Request,
@@ -509,14 +502,12 @@ class DependenceServer:
         inc_sessions: _IncrementalSessions,
     ) -> dict | bytes:
         op = request.op
+        spec = protocol.OPS[op]
         self.registry.inc_family("serve.requests", op)
-        if op == "health":
-            return protocol.ok_response(request.id, self._health())
-        if op == "stats":
-            return protocol.ok_response(request.id, self._stats())
-        if op == "shutdown":
-            self.request_shutdown()
-            return protocol.ok_response(request.id, {"draining": True})
+        if spec.control:
+            return protocol.ok_response(
+                request.id, getattr(self, spec.handler)()
+            )
 
         # Analysis ops from here on: refuse while draining, push back
         # when saturated, otherwise admit under the semaphore.
@@ -550,7 +541,9 @@ class DependenceServer:
         self.registry.put("serve.inflight", self._admitted)
         start = _now_ns()
         try:
-            if op in self._STATEFUL_OPS:
+            if spec.stateful:
+                # Replaying a cached answer or coalescing two session
+                # frames would skip a state transition.
                 result = await self._run_analysis_op(
                     request, session, explain_lock, inc_sessions
                 )
@@ -596,26 +589,19 @@ class DependenceServer:
         explain_lock: threading.Lock,
         inc_sessions: _IncrementalSessions,
     ) -> Any:
+        """Run one analysis op's handler under the concurrency limit.
+
+        Every analysis handler takes the request plus the connection's
+        state — its analysis session, explain lock and incremental
+        sessions — and uses what its op needs.
+        """
         assert self._semaphore is not None
+        handler = getattr(self, protocol.OPS[request.op].handler)
         async with self._semaphore:
             self._running += 1
             try:
-                if request.op == "analyze":
-                    return await self._op_analyze(request, session)
-                if request.op == "explain":
-                    return await self._op_explain(
-                        request, session, explain_lock
-                    )
-                if request.op == "analyze_program":
-                    return await self._op_analyze_program(request, session)
-                if request.op == "open_session":
-                    return await self._op_open_session(request, inc_sessions)
-                if request.op == "update_source":
-                    return await self._op_update_source(request, inc_sessions)
-                if request.op == "graph":
-                    return await self._op_graph(request, inc_sessions)
-                raise ProtocolError(
-                    ErrorCode.UNSUPPORTED, f"unknown op {request.op!r}"
+                return await handler(
+                    request, session, explain_lock, inc_sessions
                 )
             finally:
                 self._running -= 1
@@ -702,7 +688,13 @@ class DependenceServer:
             self.registry.inc_family("robust.degraded", REASON_DEADLINE)
             return degrade()
 
-    async def _op_analyze(self, request: Request, session: AnalysisSession):
+    async def _op_analyze(
+        self,
+        request: Request,
+        session: AnalysisSession,
+        explain_lock: threading.Lock,
+        inc_sessions: _IncrementalSessions,
+    ):
         ref1, nest1, ref2, nest2 = self._decode_query(request.params)
         want_directions = bool(request.params.get("directions", True))
 
@@ -727,6 +719,7 @@ class DependenceServer:
         request: Request,
         session: AnalysisSession,
         explain_lock: threading.Lock,
+        inc_sessions: _IncrementalSessions,
     ):
         ref1, nest1, ref2, nest2 = self._decode_query(request.params)
         want_directions = bool(request.params.get("directions", True))
@@ -759,7 +752,11 @@ class DependenceServer:
         return await self._with_deadline(work, degrade)
 
     async def _op_analyze_program(
-        self, request: Request, session: AnalysisSession
+        self,
+        request: Request,
+        session: AnalysisSession,
+        explain_lock: threading.Lock,
+        inc_sessions: _IncrementalSessions,
     ):
         if "source" not in request.params:
             raise ProtocolError(
@@ -854,7 +851,11 @@ class DependenceServer:
         return summary
 
     async def _op_open_session(
-        self, request: Request, inc_sessions: _IncrementalSessions
+        self,
+        request: Request,
+        session: AnalysisSession,
+        explain_lock: threading.Lock,
+        inc_sessions: _IncrementalSessions,
     ):
         # Durable-session fields (additive, v3): a client may mint its
         # own id — the key its journal replays under and the router
@@ -913,7 +914,11 @@ class DependenceServer:
         return await self._with_deadline(work, degrade)
 
     async def _op_update_source(
-        self, request: Request, inc_sessions: _IncrementalSessions
+        self,
+        request: Request,
+        session: AnalysisSession,
+        explain_lock: threading.Lock,
+        inc_sessions: _IncrementalSessions,
     ):
         sid = request.params.get("session")
         if "source" not in request.params:
@@ -952,7 +957,11 @@ class DependenceServer:
         return await self._with_deadline(work, degrade)
 
     async def _op_graph(
-        self, request: Request, inc_sessions: _IncrementalSessions
+        self,
+        request: Request,
+        session: AnalysisSession,
+        explain_lock: threading.Lock,
+        inc_sessions: _IncrementalSessions,
     ):
         sid = request.params.get("session")
 
@@ -985,7 +994,11 @@ class DependenceServer:
 
     # -- control-plane ops -------------------------------------------------
 
-    def _health(self) -> dict:
+    def _op_shutdown(self) -> dict:
+        self.request_shutdown()
+        return {"draining": True}
+
+    def _op_health(self) -> dict:
         import repro
 
         return {
@@ -998,8 +1011,8 @@ class DependenceServer:
             # Capability advertisement (protocol v3): incremental
             # session ops are served here.
             "sessions": True,
-            # Source languages accepted via the 'lang' param on
-            # analyze/explain/analyze_program/open_session/update_source.
+            # Source languages accepted via the 'lang' param on every
+            # op the table marks as taking source.
             "frontends": ["loop", "python", "c"],
             "worker_id": self.config.worker_id,
             "inflight": self._admitted,
@@ -1007,7 +1020,7 @@ class DependenceServer:
             "cache_entries": self.cache.entry_count(),
         }
 
-    def _stats(self) -> dict:
+    def _op_stats(self) -> dict:
         merged = MetricsRegistry()
         merged.merge(self.registry)
         for registry in self._session_registries:
