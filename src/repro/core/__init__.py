@@ -13,7 +13,7 @@ from repro.core.engine import (
 )
 from repro.core.graph import DependenceGraph, build_graph
 from repro.core.kinds import DependenceEdge, DependenceKind, classify_pair
-from repro.core.memo import Memoizer, MemoStats, MemoTable, paper_hash
+from repro.core.memo import Memoizer, MemoStats, MemoTable
 from repro.core.parallel import (
     LoopReport,
     aggregate_loop_reports,
@@ -49,7 +49,6 @@ __all__ = [
     "MemoTable",
     "MemoStats",
     "Memoizer",
-    "paper_hash",
     "save_memoizer",
     "load_memoizer",
     "merge_memoizers",

@@ -40,12 +40,7 @@ from typing import Any, Callable, Iterable
 
 from repro.core.analyzer import DependenceAnalyzer
 from repro.core.memo import Memoizer
-from repro.core.persist import (
-    dumps as _memo_dumps,
-    load_memoizer_safe,
-    loads as _memo_loads,
-    merge_memoizers,
-)
+from repro.core.persist import load_memoizer_safe, merge_memoizers
 from repro.core.result import DependenceResult, DirectionResult
 from repro.core.stats import AnalyzerStats
 from repro.robust.budget import (
@@ -219,27 +214,22 @@ def _as_pair(query) -> PairQuery:
 def _run_shard(payload):
     """Analyze one shard of unique problems (runs in a worker process).
 
-    ``payload`` is ``(reps, warm_blob, opts)`` where ``reps`` is a list
-    of ``(rep_index, ref1, nest1, ref2, nest2)`` tuples; an optional
-    fourth element maps rep indices to the problems stage 2 already
-    built (attached only on the in-process path, where they are shared
-    objects rather than pickled copies).  Returns the
-    per-representative answers plus this worker's stats, serialized
-    memo tables, and (when tracing) collected trace events for the
-    reduce step.
+    ``payload`` is ``(reps, warm, opts)`` where ``reps`` is a list of
+    ``(rep_index, ref1, nest1, ref2, nest2)`` tuples and ``warm`` is
+    the shard's own :class:`Memoizer` (or ``None``: start empty), which
+    it extends in place; an optional fourth element maps rep indices to
+    the problems stage 2 already built (attached only on the in-process
+    path, where they are shared objects rather than pickled copies).
+    Returns the per-representative answers plus this worker's stats,
+    memoizer, and (when tracing) collected trace events for the reduce
+    step.
     """
-    reps, warm_blob, opts = payload[:3]
+    reps, memoizer, opts = payload[:3]
     prebuilt = payload[3] if len(payload) > 3 else None
-    if warm_blob is None:
+    if memoizer is None:
         memoizer = Memoizer(
             improved=opts["improved"], symmetry=opts["symmetry"]
         )
-    elif isinstance(warm_blob, Memoizer):
-        # share_warm serial path: the caller's live table, extended in
-        # place — no dump/load round trip (see analyze_batch).
-        memoizer = warm_blob
-    else:
-        memoizer = _memo_loads(warm_blob)
     shard_sink = CollectingSink() if opts.get("trace") else None
     analyzer = DependenceAnalyzer(
         memoizer=memoizer,
@@ -270,12 +260,7 @@ def _run_shard(payload):
                 )
         answers.append((rep_index, result, directions))
     events = shard_sink.events if shard_sink is not None else []
-    if opts.get("pickle_wire"):
-        # Plain pool path: ship the memoizer itself (pickled by the
-        # pool transparently) instead of a JSON dump — the checkpoint
-        # format is the only consumer that needs the JSON blob.
-        return answers, analyzer.stats, memoizer, events
-    return answers, analyzer.stats, _memo_dumps(memoizer), events
+    return answers, analyzer.stats, memoizer, events
 
 
 def _pool_context():
@@ -293,13 +278,9 @@ def _split_payload(payload):
     Returns ``(rep_index, label, case_payload)`` triples where each
     ``case_payload`` is a valid single-case :func:`_run_shard` input.
     """
-    reps, warm_blob, opts = payload
+    reps, warm, opts = payload
     return [
-        (
-            case[0],
-            f"{case[1]} vs {case[3]}",
-            ([case], warm_blob, opts),
-        )
+        (case[0], f"{case[1]} vs {case[3]}", ([case], warm, opts))
         for case in reps
     ]
 
@@ -313,10 +294,10 @@ def _quarantine_fallback(case_payload):
     answer is hand-built: dependent, all-``'*'`` directions, flagged
     with the ``quarantine`` reason code.
     """
-    reps, warm_blob, opts = case_payload
+    reps, warm, opts = case_payload
     strict_opts = dict(opts, budget=ResourceBudget.strict(), trace=False)
     try:
-        return _run_shard((reps, warm_blob, strict_opts))
+        return _run_shard((reps, warm, strict_opts))
     except Exception:
         stats = AnalyzerStats()
         answers = []
@@ -341,7 +322,7 @@ def _quarantine_fallback(case_payload):
         memoizer = Memoizer(
             improved=opts["improved"], symmetry=opts["symmetry"]
         )
-        return answers, stats, _memo_dumps(memoizer), []
+        return answers, stats, memoizer, []
 
 
 # -- the driver ---------------------------------------------------------------
@@ -402,17 +383,16 @@ def analyze_batch(
     uninterrupted one.  ``checkpoint`` cannot be combined with a trace
     ``sink`` (event streams are not checkpointable).
 
+    Every shard otherwise starts from its own :meth:`Memoizer.copy`
+    of ``warm``, so the caller's table is never mutated.
     ``share_warm=True`` lets the serial in-process path (one shard, or
-    ``jobs=1``) use the caller's ``warm`` :class:`Memoizer` *object*
-    directly instead of round-tripping it through the JSON dump format:
-    the shard extends it in place and :attr:`BatchReport.memoizer` *is*
+    ``jobs=1``) use the caller's ``warm`` object directly instead: the
+    shard extends it in place and :attr:`BatchReport.memoizer` *is*
     that object.  Answers are identical either way (memo entries are
     pure); the only observable difference is that the caller's table
-    gains the batch's entries without a merge step — exactly what a
-    long-lived incremental session wants, and a large constant saving
-    when the warm table dwarfs the query list.  Ignored on
-    multi-process, pool and supervised paths (workers need a
-    serializable copy).
+    gains the batch's entries without a copy or a merge step — exactly
+    what a long-lived incremental session wants.  Ignored on
+    multi-process, pool and supervised paths.
     """
     items = [_as_pair(query) for query in queries]
     n_queries = len(items)
@@ -546,12 +526,7 @@ def analyze_batch(
             or (pool_map is None and (os.cpu_count() or 1) < 2)
         )
     )
-    if warm is None:
-        warm_blob = None
-    elif share_warm and serial:
-        warm_blob = warm  # live object: the shard extends it in place
-    else:
-        warm_blob = _memo_dumps(warm)
+    share = share_warm and serial
     opts = {
         "improved": improved,
         "symmetry": symmetry,
@@ -560,9 +535,6 @@ def analyze_batch(
         "want_directions": want_directions,
         "trace": trace,
         "budget": budget,
-        # Workers return live Memoizer objects over the pool's pickle
-        # channel unless a checkpoint needs the JSON memo blob.
-        "pickle_wire": checkpoint is None,
     }
 
     # Stage 3: deterministic cost-balanced sharding and fan-out.
@@ -597,7 +569,9 @@ def analyze_batch(
                     )
                     for rep_index in shard
                 ],
-                warm_blob,
+                # Each shard's own table: a plain copy (picklable, taken
+                # under a shared table's lock), or the live one to share.
+                warm if warm is None or share else warm.copy(),
                 opts,
             )
         )
@@ -667,14 +641,11 @@ def analyze_batch(
         + watchdog_stats
         + [stats for _, stats, _, _ in shard_outputs]
     )
-    worker_memos = [
-        blob if isinstance(blob, Memoizer) else _memo_loads(blob)
-        for _, _, blob, _ in shard_outputs
-    ]
-    if worker_memos and all(memo is warm for memo in worker_memos):
-        # share_warm serial path: every shard extended the caller's
-        # table in place; it already is the merge.
-        merged_memo = warm
+    worker_memos = [memo for _, _, memo, _ in shard_outputs]
+    if worker_memos and all(memo is worker_memos[0] for memo in worker_memos):
+        # One table already holds every entry: a lone shard's own
+        # table, or the caller's that share_warm shards extended.
+        merged_memo = worker_memos[0]
     elif worker_memos:
         merged_memo = merge_memoizers(worker_memos)
     elif warm is not None:

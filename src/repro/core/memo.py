@@ -10,17 +10,14 @@ invocations (5,679 -> 332 on the PERFECT Club).  Two tables are kept:
 * a **with-bounds** table keyed on equations plus loop bounds — a hit
   reuses the full verdict (and any direction-vector analysis).
 
-The hash is the paper's: treating the problem as one long integer
-vector ``z``, ``h(z) = size(z) + sum_i 2^i * z_i``, chosen so that
-symmetrical or partially symmetrical references do not collide; the
-table is a simple open-hashing scheme (buckets of entries, full-key
-comparison on probe).
-
-The paper fixes the table at 4096 slots, which degrades linearly once a
-whole-program (or multi-program) workload pushes the load factor past
-one.  By default the table now doubles and rehashes when its load
-factor exceeds ``max_load`` (0.75); ``fixed_size=True`` preserves the
-published fixed-slot scheme for the reproduction tables (Tables 2-3).
+The paper keys a 4096-slot open hash table with
+``h(z) = size(z) + sum_i 2^i * z_i`` over the problem vector ``z``.
+Here each table is a plain ``dict`` over interned zigzag-varint byte
+keys (:func:`encode_key`, :func:`intern_key`).  Hashing only decides
+where an entry lives, never whether two problems match: a probe hits
+exactly when an equal key was inserted.  So the published counts —
+queries, hits and unique inserts, which Tables 2-3 report — depend only
+on key equality and come out the same under any hash.
 
 The *improved* scheme additionally drops the bound constraints of
 unused loop indices before keying, merging cases that differ only in
@@ -29,37 +26,24 @@ irrelevant surrounding loops; see
 
 As a further optimization the paper suggests canonicalizing symmetric
 pairs (comparing ``a[i]`` to ``a[i-1]`` is the same problem as
-comparing ``a[i-1]`` to ``a[i]``); :class:`MemoTable` supports this via
+comparing ``a[i-1]`` to ``a[i]``); :class:`Memoizer` supports this via
 ``symmetry=True`` (off by default to mirror the published scheme).
+
+The on-disk image of a :class:`Memoizer` is defined once, in
+:mod:`repro.core.persist`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "MemoTable",
     "MemoStats",
-    "paper_hash",
     "encode_key",
     "intern_key",
 ]
-
-
-def paper_hash(vector, table_size: int) -> int:
-    """The paper's hash: ``h(z) = size(z) + sum_i 2^i * z_i`` mod table size.
-
-    Works on any integer sequence — including ``bytes`` keys, which
-    iterate as their octets — so the bucket structure (the published
-    scheme) stays well-defined for both key representations.
-    """
-    acc = len(vector)
-    weight = 1
-    for z in vector:
-        acc += weight * z
-        weight = (weight * 2) % table_size
-    return acc % table_size
 
 
 def encode_key(vector) -> bytes:
@@ -90,8 +74,8 @@ def encode_key(vector) -> bytes:
 # the memo table, with zero tuple construction.  ``bytes`` cannot go
 # through ``sys.intern`` (str-only); a plain setdefault dict gives the
 # same sharing.  The table is process-global and append-only; shard
-# workers each build their own and the keys re-intern on merge/restore
-# (see repro.core.persist).
+# workers each build their own, and keys decoded from a memo image
+# re-intern (see repro.core.persist).
 _INTERN: dict[bytes, bytes] = {}
 
 
@@ -100,7 +84,7 @@ def intern_key(data: bytes) -> bytes:
     return _INTERN.setdefault(data, data)
 
 
-_ABSENT = object()  # lookup sidecar miss sentinel (None is a legal value)
+_ABSENT = object()  # lookup miss sentinel (None is a legal value)
 
 
 @dataclass
@@ -110,10 +94,6 @@ class MemoStats:
     queries: int = 0
     hits: int = 0
     inserts: int = 0
-    # Retained for dashboard compatibility: the exact-probe sidecar
-    # answers lookups in one dict hit, so bucket probes (and therefore
-    # collisions) no longer occur on the lookup path.
-    probe_collisions: int = 0
 
     @property
     def unique(self) -> int:
@@ -127,97 +107,49 @@ class MemoStats:
 
 
 class MemoTable:
-    """Open-hashing memo table keyed on integer problem vectors.
+    """One memo table: a dict from problem keys to cached answers.
 
-    ``fixed_size=True`` reproduces the paper's published scheme exactly
-    (a fixed slot count, buckets growing without bound); the default
-    doubles the slot count and rehashes whenever the load factor
-    exceeds ``max_load``, keeping probes O(1) at whole-program scale.
+    ``stats`` counts every probe, hit and first insert of a key.
     """
 
-    def __init__(
-        self,
-        size: int = 4096,
-        fixed_size: bool = False,
-        max_load: float = 0.75,
-    ):
-        if size <= 0:
-            raise ValueError("table size must be positive")
-        if max_load <= 0:
-            raise ValueError("max_load must be positive")
-        self.size = size
-        self.fixed_size = fixed_size
-        self.max_load = max_load
-        self._buckets: list[list[tuple[tuple[int, ...], Any]]] = [
-            [] for _ in range(size)
-        ]
-        # Exact-probe sidecar: mirrors the buckets key-for-key so a
-        # lookup is one native dict probe (zero tuple/bucket walking).
-        # The buckets remain authoritative for iteration, resize and
-        # the published open-hashing structure.
-        self._exact: dict[Any, Any] = {}
-        self._count = 0
+    def __init__(self):
+        self._entries: dict[Any, Any] = {}
         self.stats = MemoStats()
-
-    @property
-    def load_factor(self) -> float:
-        return self._count / self.size
 
     def lookup(self, key) -> tuple[bool, Any]:
         """Return ``(hit, value)``; counts the query."""
         stats = self.stats
         stats.queries += 1
-        value = self._exact.get(key, _ABSENT)
+        value = self._entries.get(key, _ABSENT)
         if value is not _ABSENT:
             stats.hits += 1
             return True, value
         return False, None
 
-    def _store(self, key, value: Any) -> bool:
-        """Insert or overwrite; returns True when the key was new."""
-        exact = self._exact
-        if key in exact:
-            exact[key] = value
-            bucket = self._buckets[paper_hash(key, self.size)]
-            for i, (stored_key, _) in enumerate(bucket):
-                if stored_key == key:
-                    bucket[i] = (key, value)
-                    break
-            return False
-        exact[key] = value
-        self._buckets[paper_hash(key, self.size)].append((key, value))
-        self._count += 1
-        if not self.fixed_size and self._count > self.max_load * self.size:
-            self.resize(self.size * 2)
-        return True
-
     def insert(self, key: tuple[int, ...], value: Any) -> None:
-        if self._store(key, value):
+        entries = self._entries
+        if key not in entries:
             self.stats.inserts += 1
+        entries[key] = value
 
     def update(self, key: tuple[int, ...], value: Any) -> None:
         """Overwrite the value without counting a fresh unique insert."""
-        self._store(key, value)
+        self._entries[key] = value
 
-    def resize(self, new_size: int) -> None:
-        """Rehash every entry into ``new_size`` slots."""
-        if new_size <= 0:
-            raise ValueError("table size must be positive")
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        self.size = new_size
-        self._buckets = [[] for _ in range(new_size)]
-        for key, value in entries:
-            self._buckets[paper_hash(key, new_size)].append((key, value))
+    def items(self) -> list[tuple[Any, Any]]:
+        """A snapshot of every ``(key, value)`` entry."""
+        return list(self._entries.items())
 
-    def items(self) -> Iterator[tuple[tuple[int, ...], Any]]:
-        """All ``(key, value)`` entries, in bucket order."""
-        for bucket in self._buckets:
-            yield from bucket
+    def copy(self) -> "MemoTable":
+        """A plain, independent table with the same entries; fresh stats."""
+        table = MemoTable()
+        table._entries = self._entries.copy()
+        return table
 
     def merge_from(self, other: "MemoTable") -> None:
         """Adopt every entry of ``other`` (map-reduce merge step).
 
-        Entries already present keep the incoming value — memo values
+        Entries already present take the incoming value — memo values
         for equal keys are equal by construction, so the choice is
         immaterial; hit statistics are left untouched.
         """
@@ -225,7 +157,7 @@ class MemoTable:
             self.update(key, value)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._entries)
 
 
 @dataclass
@@ -245,13 +177,18 @@ class Memoizer:
     # keep orientation-specific entries.
     symmetry: bool = False
 
-    @classmethod
-    def paper(cls, improved: bool = True) -> "Memoizer":
-        """The published scheme: fixed 4096-slot tables (Tables 2-3)."""
-        return cls(
-            no_bounds=MemoTable(fixed_size=True),
-            with_bounds=MemoTable(fixed_size=True),
-            improved=improved,
+    def copy(self) -> "Memoizer":
+        """A plain, independent snapshot: same entries and keying.
+
+        The copy's tables are lock-free :class:`MemoTable` objects with
+        fresh statistics, whatever the source tables are, so it can be
+        extended or pickled without touching the original.
+        """
+        return Memoizer(
+            no_bounds=self.no_bounds.copy(),
+            with_bounds=self.with_bounds.copy(),
+            improved=self.improved,
+            symmetry=self.symmetry,
         )
 
     def compatible_with(self, other: "Memoizer") -> bool:

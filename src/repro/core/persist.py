@@ -1,4 +1,4 @@
-"""Persistent memoization tables (paper section 5, last paragraph).
+"""The memo image: the one on-disk format of the memo tables (paper §5).
 
 "One other possible improvement is to store the hash table across
 compilations.  This will eliminate the data dependence cost of
@@ -6,11 +6,37 @@ incremental compilation.  In addition, if there is similarity across
 programs, one could use a set of benchmarks to set up a standard table
 which would be used by all programs."
 
-This module serializes a :class:`~repro.core.memo.Memoizer` to a plain
-JSON document and restores it, so a later compilation session starts
-with every previously-seen case already answered.  Only the cacheable
-payloads are stored (verdicts, reduced distances/vectors, GCD
-factorizations); hit statistics start fresh.
+This module is the only encoder, decoder and atomic writer of a
+:class:`~repro.core.memo.Memoizer` on disk.  Every disk user goes
+through it — ``repro batch --warm-cache`` (:func:`save_memoizer`,
+:func:`load_memoizer_safe`), the serve disk tier
+(:class:`repro.serve.cache.ServeCache`), the cluster's spill images and
+the batch checkpoint (:mod:`repro.robust.checkpoint`, which embeds the
+image as an object) — so a file written by any of them loads in the
+others.  The format (version 2)::
+
+    {
+      "format": "repro-memo",
+      "version": 2,
+      "improved": true,
+      "symmetry": false,
+      "tables": {
+        "no_bounds":   [<entry>, ...],
+        "with_bounds": [<entry>, ...]
+      }
+    }
+
+    <entry> = {"key": [int, ...], "key_type": "b", "value": {...}, "used": 17}
+
+``key`` lists the key's integers; ``key_type: "b"`` marks an interned
+byte key (absent: a tuple key).  ``value`` is one cacheable payload —
+a verdict, reduced directions or a GCD factorization; degraded answers
+are never memoized, so an image cannot carry one.  ``used`` is the
+serve tier's optional least-recently-used stamp.  Hit statistics are
+not stored.  Any other format or version, version-1 files of the older
+layouts included, is refused with :class:`MemoImageSkew`: images are
+caches, so callers warn and start cold rather than keep a second
+reader.
 """
 
 from __future__ import annotations
@@ -23,28 +49,39 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.analyzer import _CachedDirections, _CachedVerdict, _GcdCacheEntry
-from repro.core.memo import Memoizer, MemoTable, intern_key
+from repro.core.memo import Memoizer, intern_key
 
 __all__ = [
+    "MEMO_FORMAT",
+    "MEMO_VERSION",
+    "TABLES",
+    "LOAD_ERRORS",
+    "MemoImageSkew",
+    "encode_entry",
+    "encode_image",
+    "decode_tables",
+    "decode_image",
+    "dumps",
+    "loads",
     "save_memoizer",
     "load_memoizer",
     "load_memoizer_safe",
-    "dumps",
-    "loads",
-    "encode_memo_value",
-    "decode_memo_value",
-    "encode_memo_key",
-    "decode_memo_key",
     "merge_memoizers",
     "atomic_write_text",
 ]
 
-_FORMAT_VERSION = 1
+MEMO_FORMAT = "repro-memo"
+MEMO_VERSION = 2
+TABLES = ("no_bounds", "with_bounds")
 
-# Everything a structurally broken cache file can raise while being
-# parsed and decoded: I/O errors, truncated/garbage JSON (json raises a
-# ValueError subclass), missing or mistyped fields, non-dict payloads.
-_CACHE_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+# Everything a structurally broken image can raise while being read and
+# decoded: I/O errors, truncated/garbage JSON (json raises a ValueError
+# subclass), missing or mistyped fields, non-dict payloads.
+LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+
+class MemoImageSkew(ValueError):
+    """A well-formed file of another format, version or keying scheme."""
 
 
 def _encode_value(value: Any) -> dict:
@@ -112,73 +149,98 @@ def _decode_value(blob: dict) -> Any:
     raise ValueError(f"unknown memo value kind {kind!r}")
 
 
-# Public entry-level serde: the serving cache persists memo entries
-# individually (so it can evict least-recently-used entries under a
-# byte budget) and reuses this format for each value.
-encode_memo_value = _encode_value
-decode_memo_value = _decode_value
-
-
-def encode_memo_key(key) -> dict:
-    """JSON fields describing a memo key (tuple or interned bytes)."""
+def encode_entry(key, value: Any, used: int | None = None) -> dict:
+    """One ``<entry>`` of the image; ``used`` is the optional LRU stamp."""
+    entry = {"key": list(key), "value": _encode_value(value)}
     if isinstance(key, bytes):
-        return {"key": list(key), "key_type": "b"}
-    return {"key": list(key)}
+        entry["key_type"] = "b"
+    if used is not None:
+        entry["used"] = used
+    return entry
 
 
-def decode_memo_key(entry: dict):
-    """Inverse of :func:`encode_memo_key`; bytes keys re-intern."""
+def _decode_entry(entry: dict) -> tuple[Any, Any, int | None]:
     if entry.get("key_type") == "b":
-        return intern_key(bytes(entry["key"]))
-    return tuple(entry["key"])
+        key = intern_key(bytes(entry["key"]))
+    else:
+        key = tuple(entry["key"])
+    used = entry.get("used")
+    return key, _decode_value(entry["value"]), None if used is None else int(used)
 
 
-def _encode_table(table: MemoTable) -> dict:
-    entries = []
-    for key, value in table.items():
-        blob = encode_memo_key(key)
-        blob["value"] = _encode_value(value)
-        entries.append(blob)
+def encode_image(memoizer: Memoizer, tables: dict | None = None) -> dict:
+    """The image of ``memoizer``.
+
+    ``tables`` maps each name in :data:`TABLES` to its encoded entries;
+    by default every entry of both tables, without ``used`` stamps.
+    """
+    if tables is None:
+        tables = {
+            name: [
+                encode_entry(key, value)
+                for key, value in getattr(memoizer, name).items()
+            ]
+            for name in TABLES
+        }
     return {
-        "size": table.size,
-        "fixed_size": table.fixed_size,
-        "entries": entries,
+        "format": MEMO_FORMAT,
+        "version": MEMO_VERSION,
+        "improved": memoizer.improved,
+        "symmetry": memoizer.symmetry,
+        "tables": tables,
     }
 
 
-def _decode_table(blob: dict) -> MemoTable:
-    table = MemoTable(
-        size=blob["size"], fixed_size=blob.get("fixed_size", False)
-    )
-    for entry in blob["entries"]:
-        table.update(decode_memo_key(entry), _decode_value(entry["value"]))
-    return table
+def decode_tables(
+    blob: Any, like: Memoizer | None = None
+) -> dict[str, list[tuple[Any, Any, int | None]]]:
+    """Check an image's header and decode every entry, or raise.
+
+    Returns ``(key, value, used)`` triples per table.  Nothing is
+    returned until every entry has decoded, so a caller adopts the
+    whole image or none of it.  With ``like``, the image's keying
+    scheme must match that memoizer's.
+    """
+    if not isinstance(blob, dict):
+        raise ValueError("a memo image must be a JSON object")
+    found = (blob.get("format"), blob.get("version"))
+    if found != (MEMO_FORMAT, MEMO_VERSION):
+        raise MemoImageSkew(
+            f"memo image format/version mismatch: {found} "
+            f"!= {(MEMO_FORMAT, MEMO_VERSION)}"
+        )
+    if like is not None:
+        found = (blob["improved"], blob["symmetry"])
+        if found != (like.improved, like.symmetry):
+            raise MemoImageSkew(
+                f"memo keying mismatch: improved/symmetry {found} "
+                f"!= {(like.improved, like.symmetry)}"
+            )
+    return {
+        name: [_decode_entry(entry) for entry in blob["tables"][name]]
+        for name in TABLES
+    }
+
+
+def decode_image(blob: Any) -> Memoizer:
+    """Restore a memoizer from :func:`encode_image` output."""
+    tables = decode_tables(blob)
+    memoizer = Memoizer(improved=blob["improved"], symmetry=blob["symmetry"])
+    for name, entries in tables.items():
+        table = getattr(memoizer, name)
+        for key, value, _used in entries:
+            table.update(key, value)
+    return memoizer
 
 
 def dumps(memoizer: Memoizer) -> str:
-    """Serialize a memoizer to a JSON string."""
-    return json.dumps(
-        {
-            "version": _FORMAT_VERSION,
-            "improved": memoizer.improved,
-            "symmetry": memoizer.symmetry,
-            "no_bounds": _encode_table(memoizer.no_bounds),
-            "with_bounds": _encode_table(memoizer.with_bounds),
-        }
-    )
+    """Serialize a memoizer to the image's JSON text."""
+    return json.dumps(encode_image(memoizer), separators=(",", ":"))
 
 
 def loads(text: str) -> Memoizer:
     """Restore a memoizer from :func:`dumps` output."""
-    blob = json.loads(text)
-    if blob.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported memo format {blob.get('version')!r}")
-    return Memoizer(
-        no_bounds=_decode_table(blob["no_bounds"]),
-        with_bounds=_decode_table(blob["with_bounds"]),
-        improved=blob["improved"],
-        symmetry=blob["symmetry"],
-    )
+    return decode_image(json.loads(text))
 
 
 def merge_memoizers(memoizers) -> Memoizer:
@@ -218,6 +280,7 @@ def atomic_write_text(
     without ever corrupting the destination in place.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     data = text.encode()
     if chaos_site is not None:
         from repro.robust.chaos import active_plan, write_fault
@@ -251,7 +314,7 @@ def save_memoizer(memoizer: Memoizer, path: str | Path) -> None:
 
 
 def load_memoizer(path: str | Path) -> Memoizer:
-    """Load a memoizer saved by :func:`save_memoizer`."""
+    """Load a memoizer saved by :func:`save_memoizer` (or any image)."""
     return loads(Path(path).read_text())
 
 
@@ -268,8 +331,8 @@ def load_memoizer_safe(path: str | Path) -> Memoizer | None:
     if not path.exists():
         return None
     try:
-        return loads(path.read_text())
-    except _CACHE_LOAD_ERRORS as err:
+        return load_memoizer(path)
+    except LOAD_ERRORS as err:
         warnings.warn(
             f"skipping corrupt warm-start cache {path}: {err!r} "
             "(analysis proceeds cold)",

@@ -2,14 +2,14 @@
 
 A long batch run should survive the machine it runs on.  The engine's
 supervised path records every completed shard's output — answers,
-metrics registry, memo-table dump, quarantine record — into one JSON
-checkpoint file, rewritten atomically (mkstemp + fsync + replace, the
-``core/persist`` convention) after each shard.  ``kill -9`` the driver
-at any point, rerun with ``--resume``, and the finished shards load
-from disk while only the unfinished ones re-run; because the engine
-merges shard outputs in payload order regardless of where they came
-from, the resumed run's results and counter snapshot are bit-identical
-to an uninterrupted run.
+metrics registry, memo tables, quarantine record — into one JSON
+checkpoint file, rewritten atomically by
+:func:`repro.core.persist.atomic_write_text` after each shard.
+``kill -9`` the batch process at any point, rerun with ``--resume``,
+and the finished shards load from disk while only the unfinished ones
+re-run; because the engine merges shard outputs in payload order
+regardless of where they came from, the resumed run's results, counter
+snapshot and memo entries are bit-identical to an uninterrupted run.
 
 The file is self-validating: a ``fingerprint`` (SHA-256 over the
 canonicalized batch options and every deduped problem's key vector)
@@ -17,18 +17,18 @@ ties a checkpoint to exactly one batch.  A resume against a different
 input set, different options, a truncated file or chaos-corrupted
 bytes degrades to a cold start with a warning — never a wrong answer.
 
-Format (version 1)::
+Format (version 2)::
 
     {
       "format": "repro-batch-checkpoint",
-      "version": 1,
+      "version": 2,
       "fingerprint": "<sha256 hex>",
       "shards": {
         "<payload index>": {
           "outputs": [
             {"answers": [[rep_index, result, directions|null], ...],
              "registry": <MetricsRegistry.to_dict()>,
-             "memo": "<persist.dumps blob>"},
+             "memo": <memo image object, see repro.core.persist>},
             ...
           ],
           "quarantine": [<QuarantinedCase.to_dict()>, ...]
@@ -50,6 +50,12 @@ import warnings
 from pathlib import Path
 from typing import Any
 
+from repro.core.persist import (
+    LOAD_ERRORS,
+    atomic_write_text,
+    decode_image,
+    encode_image,
+)
 from repro.core.result import DependenceResult, DirectionResult
 from repro.core.stats import AnalyzerStats
 from repro.obs.metrics import MetricsRegistry
@@ -67,9 +73,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-batch-checkpoint"
-CHECKPOINT_VERSION = 1
-
-_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+CHECKPOINT_VERSION = 2
 
 
 def _jsonable(value: Any) -> Any:
@@ -156,7 +160,7 @@ def decode_directions(payload: dict | None) -> DirectionResult | None:
 
 
 def _encode_output(output: tuple) -> dict:
-    answers, stats, memo_blob, events = output
+    answers, stats, memoizer, events = output
     if events:
         raise ValueError("trace events are not checkpointable")
     return {
@@ -165,7 +169,7 @@ def _encode_output(output: tuple) -> dict:
             for rep_index, result, directions in answers
         ],
         "registry": stats.registry.to_dict(),
-        "memo": memo_blob,
+        "memo": encode_image(memoizer),
     }
 
 
@@ -175,7 +179,7 @@ def _decode_output(payload: dict) -> tuple:
         for rep_index, result, directions in payload["answers"]
     ]
     stats = AnalyzerStats(MetricsRegistry.from_dict(payload["registry"]))
-    return answers, stats, payload["memo"], []
+    return answers, stats, decode_image(payload["memo"]), []
 
 
 class BatchCheckpoint:
@@ -226,22 +230,17 @@ class BatchCheckpoint:
                 )
         except FileNotFoundError:
             return {}
-        except _LOAD_ERRORS as exc:
+        except LOAD_ERRORS as exc:
             warnings.warn(
                 f"ignoring unusable checkpoint {self.path}: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
             )
             return {}
-        # Seed the in-memory image so later record() calls rewrite the
-        # resumed shards too (the file stays complete throughout).
-        self._shards = {
-            index: {
-                "outputs": [_encode_output(o) for o in outputs],
-                "quarantine": [case.to_dict() for case in quarantine],
-            }
-            for index, (outputs, quarantine) in done.items()
-        }
+        # Seed the in-memory image with the shards as read, so later
+        # record() calls rewrite the resumed shards too (the file stays
+        # complete throughout).
+        self._shards = {int(i): shard for i, shard in payload["shards"].items()}
         return done
 
     def record(
@@ -271,8 +270,6 @@ class BatchCheckpoint:
             },
             sort_keys=True,
         )
-        from repro.core.persist import atomic_write_text
-
         try:
             atomic_write_text(self.path, image, chaos_site="checkpoint.write")
         except OSError as exc:

@@ -2,22 +2,23 @@
 
 Tier 1 is the paper's in-process :class:`~repro.core.memo.Memoizer`,
 upgraded for concurrent serving: every table is a
-:class:`RecencyMemoTable`, which (a) guards probes/inserts/resizes with
-one lock so executor threads can share it, and (b) stamps each key
-with a logical clock tick on every touch, giving the disk tier an
-exact least-recently-used order.
+:class:`RecencyMemoTable`, which (a) guards probes, inserts and
+snapshots with one lock so executor threads can share it, and (b)
+stamps each key with a logical clock tick on every touch, giving the
+disk tier an exact least-recently-used order.
 
-Tier 2 is an on-disk JSON store built on :mod:`repro.core.persist`'s
-entry encoding.  Writes are **atomic** (temp file in the same
-directory, then ``os.replace``), so a crash mid-save can never leave a
-truncated store — and if one appears anyway (external truncation,
-version skew), loading skips it with a warning and the server starts
-cold; corruption costs warmth, never availability.  The store is
-**versioned**: a ``cache_version``/``protocol_version`` stamp guards
-against reading entries written under an incompatible schema, and the
-memo keying flags (``improved``/``symmetry``) must match.  It is
-**bounded**: before writing, entries are LRU-evicted until the encoded
-payload fits ``max_bytes``.
+Tier 2 is an on-disk memo image in the one format of
+:mod:`repro.core.persist`, which documents it; each entry carries its
+``used`` stamp.  Writes are **atomic**, so a crash mid-save can never
+leave a truncated store — and if one appears anyway (external
+truncation, version skew), loading skips it with a warning and the
+server starts cold; corruption costs warmth, never availability.
+Loading is all-or-nothing: the whole image decodes before any entry is
+adopted.  The image's ``version`` and memo keying flags
+(``improved``/``symmetry``) must match.  The store is **bounded**:
+before writing, entries are LRU-evicted until the encoded payload fits
+``max_bytes``.  Because the format is shared, a ``batch --warm-cache``
+file warms the daemon and the daemon's store warms a batch run.
 
 :class:`SingleFlight` is the third caching layer, for work that hasn't
 finished yet: identical queries that arrive while the first one is
@@ -29,35 +30,31 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
-import tempfile
 import threading
 import warnings
 from pathlib import Path
 from typing import Any, Awaitable, Callable
 
-from repro.core.memo import Memoizer, MemoTable, paper_hash
+from repro.core.memo import Memoizer, MemoTable
 from repro.core.persist import (
+    LOAD_ERRORS,
+    TABLES,
+    MemoImageSkew,
     atomic_write_text,
-    decode_memo_key,
-    decode_memo_value,
-    dumps as _memo_dumps,
-    encode_memo_key,
-    encode_memo_value,
+    decode_tables,
+    dumps,
+    encode_entry,
+    encode_image,
     load_memoizer_safe,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.protocol import PROTOCOL_VERSION
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "DEFAULT_MAX_BYTES",
     "RecencyMemoTable",
     "ServeCache",
     "SingleFlight",
 ]
-
-CACHE_SCHEMA_VERSION = 1
 
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
@@ -65,24 +62,25 @@ DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 # (JSON punctuation, the "used" stamp, list separators).
 _ENTRY_OVERHEAD = 16
 
+_COMPACT = (",", ":")
+
 
 class RecencyMemoTable(MemoTable):
     """A memo table that is thread-safe and remembers per-key recency.
 
-    All mutating paths (and ``lookup``, which both reads and counts)
-    take the shared lock; ``used`` maps each present key to the logical
-    clock tick of its last touch.  The clock is shared across the
-    memoizer's tables so "least recently used" is global, not
+    Every probe, mutation and snapshot (``items``/``copy``) takes the
+    shared lock; ``used`` maps each present key to the logical clock
+    tick of its last touch.  The lock and the clock are shared across
+    the memoizer's tables so "least recently used" is global, not
     per-table.
     """
 
     def __init__(
         self,
-        size: int = 4096,
         lock: threading.RLock | None = None,
         clock: list[int] | None = None,
     ):
-        super().__init__(size=size)
+        super().__init__()
         self._lock = lock if lock is not None else threading.RLock()
         # Single-cell mutable clock, shared between the two tables.
         self._clock = clock if clock is not None else [0]
@@ -117,20 +115,18 @@ class RecencyMemoTable(MemoTable):
             if used > self._clock[0]:
                 self._clock[0] = used
 
-    def resize(self, new_size: int) -> None:
+    def items(self) -> list[tuple[Any, Any]]:
         with self._lock:
-            super().resize(new_size)
+            return super().items()
+
+    def copy(self) -> MemoTable:
+        with self._lock:
+            return super().copy()
 
     def drop(self, key: tuple[int, ...]) -> None:
         """Remove one entry (LRU eviction path)."""
         with self._lock:
-            bucket = self._buckets[paper_hash(key, self.size)]
-            for i, (stored_key, _) in enumerate(bucket):
-                if stored_key == key:
-                    del bucket[i]
-                    self._count -= 1
-                    self._exact.pop(key, None)
-                    break
+            self._entries.pop(key, None)
             self.used.pop(key, None)
 
 
@@ -171,46 +167,24 @@ class ServeCache:
 
     # -- disk tier ---------------------------------------------------------
 
-    def _header(self) -> dict:
-        return {
-            "cache_version": CACHE_SCHEMA_VERSION,
-            "protocol_version": PROTOCOL_VERSION,
-            "improved": self.memoizer.improved,
-            "symmetry": self.memoizer.symmetry,
-        }
-
     def _load(self) -> None:
         assert self.path is not None
         if not self.path.exists():
             return
         try:
-            blob = json.loads(self.path.read_text())
-            if not isinstance(blob, dict):
-                raise ValueError("store root must be an object")
-            header = {
-                key: blob.get(key) for key in self._header()
-            }
-            if header != self._header():
-                warnings.warn(
-                    f"ignoring serve cache {self.path}: schema/keying "
-                    f"mismatch ({header} != {self._header()})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self.registry.inc("serve.cache.version_skips")
-                return
-            count = 0
-            for table_name in ("no_bounds", "with_bounds"):
-                table: RecencyMemoTable = getattr(self.memoizer, table_name)
-                for entry in blob["tables"][table_name]:
-                    table.restore(
-                        decode_memo_key(entry),
-                        decode_memo_value(entry["value"]),
-                        int(entry["used"]),
-                    )
-                    count += 1
-            self.loaded_entries = count
-        except (OSError, ValueError, KeyError, TypeError) as err:
+            tables = decode_tables(
+                json.loads(self.path.read_text()), like=self.memoizer
+            )
+        except MemoImageSkew as err:
+            warnings.warn(
+                f"ignoring serve cache {self.path}: {err} "
+                "(serving starts cold)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self.registry.inc("serve.cache.version_skips")
+            return
+        except LOAD_ERRORS as err:
             warnings.warn(
                 f"skipping corrupt serve cache {self.path}: {err!r} "
                 "(serving starts cold)",
@@ -218,6 +192,12 @@ class ServeCache:
                 stacklevel=2,
             )
             self.registry.inc("serve.cache.load_failures")
+            return
+        for name, entries in tables.items():
+            table: RecencyMemoTable = getattr(self.memoizer, name)
+            for key, value, used in entries:
+                table.restore(key, value, used or 0)
+            self.loaded_entries += len(entries)
 
     def save(self) -> int:
         """Atomically persist the memo tables; returns bytes written.
@@ -230,62 +210,36 @@ class ServeCache:
         if self.path is None:
             return 0
         with self._lock:
-            encoded: list[tuple[int, str, dict, int]] = []
-            for table_name in ("no_bounds", "with_bounds"):
-                table: RecencyMemoTable = getattr(self.memoizer, table_name)
+            encoded: list[tuple[int, str, Any, dict, int]] = []
+            for name in TABLES:
+                table: RecencyMemoTable = getattr(self.memoizer, name)
                 for key, value in table.items():
-                    entry = encode_memo_key(key)
-                    entry["value"] = encode_memo_value(value)
-                    entry["used"] = table.used.get(key, 0)
-                    size = len(json.dumps(entry, separators=(",", ":")))
-                    encoded.append((entry["used"], table_name, entry, size))
+                    used = table.used.get(key, 0)
+                    entry = encode_entry(key, value, used)
+                    size = len(json.dumps(entry, separators=_COMPACT))
+                    encoded.append((used, name, key, entry, size))
             encoded.sort(key=lambda item: item[0])
 
-            budget = self.max_bytes - len(
-                json.dumps(self._header(), separators=(",", ":"))
-            )
-            total = sum(size + _ENTRY_OVERHEAD for _, _, _, size in encoded)
+            empty = encode_image(self.memoizer, {name: [] for name in TABLES})
+            budget = self.max_bytes - len(json.dumps(empty, separators=_COMPACT))
+            total = sum(size + _ENTRY_OVERHEAD for *_, size in encoded)
             evicted = 0
             while encoded and total > budget:
-                _, table_name, entry, size = encoded.pop(0)
-                table = getattr(self.memoizer, table_name)
-                table.drop(decode_memo_key(entry))
+                _, name, key, _, size = encoded.pop(0)
+                getattr(self.memoizer, name).drop(key)
                 total -= size + _ENTRY_OVERHEAD
                 evicted += 1
             if evicted:
                 self.registry.inc("serve.cache.evicted", evicted)
 
-            payload = self._header()
-            payload["tables"] = {
-                "no_bounds": [
-                    entry
-                    for _, table_name, entry, _ in encoded
-                    if table_name == "no_bounds"
-                ],
-                "with_bounds": [
-                    entry
-                    for _, table_name, entry, _ in encoded
-                    if table_name == "with_bounds"
-                ],
-            }
-            text = json.dumps(payload, separators=(",", ":"))
+            tables: dict[str, list[dict]] = {name: [] for name in TABLES}
+            for _, name, _, entry, _ in encoded:
+                tables[name].append(entry)
+            text = json.dumps(
+                encode_image(self.memoizer, tables), separators=_COMPACT
+            )
 
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(self.path, text)
         self.last_save_bytes = len(text)
         self.registry.inc("serve.cache.saves")
         return len(text)
@@ -298,17 +252,15 @@ class ServeCache:
         The cluster's warmth-sharing channel: each worker periodically
         spills its tables to a shared directory and absorbs its peers'
         images, so a hit on any node warms the fleet.  The image is the
-        standard :mod:`repro.core.persist` format — which structurally
+        one :mod:`repro.core.persist` format — which structurally
         cannot represent a degraded verdict (degraded answers are never
         memoized), so no degraded frame is ever gossiped.  Returns the
         number of entries written.
         """
-        with self._lock:
-            text = _memo_dumps(self.memoizer)
-            count = self.entry_count()
-        atomic_write_text(path, text, chaos_site="serve.spill")
+        snapshot = self.memoizer.copy()
+        atomic_write_text(path, dumps(snapshot), chaos_site="serve.spill")
         self.registry.inc("serve.spill.saves")
-        return count
+        return len(snapshot.no_bounds) + len(snapshot.with_bounds)
 
     def absorb(self, path: str | Path) -> int:
         """Merge a peer worker's spilled image into the live tables.
@@ -318,15 +270,14 @@ class ServeCache:
         Returns the number of entries gained.
         """
         memo = load_memoizer_safe(path)
-        if memo is None:
-            self.registry.inc("serve.spill.load_failures")
-            return 0
-        if not self.memoizer.compatible_with(memo):
+        if memo is not None and not self.memoizer.compatible_with(memo):
             warnings.warn(
                 f"ignoring peer spill {path}: incompatible memo keying",
                 RuntimeWarning,
                 stacklevel=2,
             )
+            memo = None
+        if memo is None:
             self.registry.inc("serve.spill.load_failures")
             return 0
         before = self.entry_count()

@@ -54,7 +54,6 @@ from typing import Any
 from repro.api import AnalysisConfig, AnalysisSession, DependenceReport
 from repro.core.engine import analyze_batch, queries_from_program
 from repro.core.incremental import IncrementalSession
-from repro.core.persist import dumps as _memo_dumps, loads as _memo_loads
 from repro.ir.program import Program, reference_pairs
 from repro.ir.serde import query_from_dict
 from repro.lang.errors import LangError
@@ -770,13 +769,12 @@ class DependenceServer:
         use_pool = len(queries) >= self.config.batch_threshold
 
         def work() -> dict:
-            # Snapshot the shared memoizer into a plain (picklable)
-            # warm-start table; fold the batch's merged table back in.
-            warm = _memo_loads(_memo_dumps(self.cache.memoizer))
+            # Warm-start from the shared memoizer (every shard works on
+            # its own copy); fold the batch's merged table back in.
             report = analyze_batch(
                 queries,
                 jobs=self.pool.jobs if use_pool else 1,
-                warm=warm,
+                warm=self.cache.memoizer,
                 want_directions=want_directions,
                 improved=self.config.improved,
                 symmetry=self.config.symmetry,
@@ -816,11 +814,11 @@ class DependenceServer:
     # -- incremental session ops (protocol v3) -----------------------------
 
     def _open_incremental(self) -> IncrementalSession:
-        # Same snapshot/merge-back pattern as analyze_program: the
-        # session warm-starts from everything the server ever computed,
-        # and every update folds its new memo entries back in.
+        # Snapshot/merge-back: the session warm-starts from a copy of
+        # everything the server ever computed, and every update folds
+        # its new memo entries back in.
         return IncrementalSession(
-            memoizer=_memo_loads(_memo_dumps(self.cache.memoizer)),
+            memoizer=self.cache.memoizer.copy(),
             jobs=1,
             improved=self.config.improved,
             symmetry=self.config.symmetry,

@@ -4,29 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analyzer import DependenceAnalyzer
-from repro.core.memo import Memoizer, MemoTable, paper_hash
+from repro.core.memo import Memoizer, MemoTable
 from repro.ir import builder as B
-
-
-class TestPaperHash:
-    def test_formula(self):
-        # h(z) = size(z) + sum 2^i z_i
-        assert paper_hash((3,), 10**9) == 1 + 3
-        assert paper_hash((1, 2), 10**9) == 2 + 1 + 4
-        assert paper_hash((), 10**9) == 0
-
-    def test_asymmetry(self):
-        # Chosen so symmetrical references do not collide.
-        assert paper_hash((1, 2), 4096) != paper_hash((2, 1), 4096)
-
-    @given(st.lists(st.integers(-100, 100), max_size=20), st.integers(1, 8192))
-    def test_in_range(self, vec, size):
-        assert 0 <= paper_hash(tuple(vec), size) < size
 
 
 class TestMemoTable:
     def test_miss_then_hit(self):
-        table = MemoTable(size=64)
+        table = MemoTable()
         key = (1, 2, 3)
         hit, _ = table.lookup(key)
         assert not hit
@@ -38,7 +22,7 @@ class TestMemoTable:
         assert table.stats.inserts == 1
 
     def test_collisions_resolved_by_full_key(self):
-        table = MemoTable(size=1)  # everything collides
+        table = MemoTable()
         table.insert((1,), "a")
         table.insert((2,), "b")
         assert table.lookup((1,)) == (True, "a")
@@ -46,14 +30,22 @@ class TestMemoTable:
         assert len(table) == 2
 
     def test_insert_overwrites(self):
-        table = MemoTable(size=8)
+        table = MemoTable()
         table.insert((1,), "a")
         table.insert((1,), "b")
         assert table.lookup((1,))[1] == "b"
         assert table.stats.inserts == 1  # same unique case
 
+    def test_update_does_not_count_an_insert(self):
+        table = MemoTable()
+        for k in range(10):
+            table.update((k,), k)
+        assert table.stats.inserts == 0
+        assert len(table) == 10
+        assert table.lookup((3,)) == (True, 3)
+
     def test_unique_fraction(self):
-        table = MemoTable(size=8)
+        table = MemoTable()
         for _ in range(4):
             hit, _ = table.lookup((1,))
             if not hit:
@@ -62,67 +54,33 @@ class TestMemoTable:
         assert table.stats.unique_fraction == 0.25
 
 
-class TestResize:
-    def test_grows_past_load_factor(self):
-        table = MemoTable(size=4)
-        for k in range(16):
-            table.insert((k,), k)
-        assert table.size > 4
-        assert table.load_factor <= 0.75
-        assert len(table) == 16
-        for k in range(16):
-            assert table.lookup((k,)) == (True, k)
+class TestMemoizerCopy:
+    def test_copy_is_independent_with_fresh_stats(self):
+        memo = Memoizer(improved=False, symmetry=True)
+        memo.with_bounds.insert((1,), "a")
+        memo.with_bounds.lookup((1,))
+        copy = memo.copy()
+        assert (copy.improved, copy.symmetry) == (False, True)
+        assert copy.with_bounds.lookup((1,)) == (True, "a")
+        assert copy.with_bounds.stats.queries == 1
+        copy.with_bounds.insert((2,), "b")
+        memo.no_bounds.insert((3,), "c")
+        assert len(memo.with_bounds) == 1
+        assert len(copy.no_bounds) == 0
 
-    def test_growth_doubles(self):
-        table = MemoTable(size=4)
-        seen = {table.size}
-        for k in range(40):
-            table.insert((k,), k)
-            seen.add(table.size)
-        assert seen == {4, 8, 16, 32, 64}
+    def test_copy_of_a_serve_table_is_plain(self):
+        import pickle
 
-    def test_fixed_size_preserves_paper_scheme(self):
-        table = MemoTable(size=4, fixed_size=True)
-        for k in range(100):
-            table.insert((k,), k)
-        assert table.size == 4  # never grows
-        assert len(table) == 100
-        for k in range(100):
-            assert table.lookup((k,)) == (True, k)
+        from repro.serve.cache import ServeCache
 
-    def test_resize_preserves_unique_insert_count(self):
-        table = MemoTable(size=2)
-        for k in range(10):
-            table.insert((k,), k)
-        assert table.stats.inserts == 10
-
-    def test_update_triggers_growth_without_insert_count(self):
-        table = MemoTable(size=2)
-        for k in range(10):
-            table.update((k,), k)
-        assert table.stats.inserts == 0
-        assert table.size > 2
-        assert len(table) == 10
-
-    def test_paper_memoizer_is_fixed_4096(self):
-        memo = Memoizer.paper()
-        assert memo.no_bounds.fixed_size
-        assert memo.with_bounds.fixed_size
-        assert memo.no_bounds.size == 4096
-
-    @given(st.lists(st.integers(-100, 100), min_size=1, max_size=6))
-    @settings(max_examples=50, deadline=None)
-    def test_resizable_agrees_with_fixed(self, key):
-        """Growth never loses or corrupts an entry."""
-        growing = MemoTable(size=1)
-        fixed = MemoTable(size=1, fixed_size=True)
-        for shift in range(20):
-            k = tuple(z + shift for z in key)
-            growing.insert(k, shift)
-            fixed.insert(k, shift)
-        for shift in range(20):
-            k = tuple(z + shift for z in key)
-            assert growing.lookup(k) == fixed.lookup(k)
+        cache = ServeCache()
+        cache.memoizer.no_bounds.insert((1,), "a")
+        copy = cache.memoizer.copy()
+        assert type(copy.no_bounds) is MemoTable
+        assert pickle.loads(pickle.dumps(copy)).no_bounds.lookup((1,)) == (
+            True,
+            "a",
+        )
 
 
 class TestSymmetricCanonicalization:

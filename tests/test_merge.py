@@ -141,10 +141,3 @@ class TestMemoizerMerge:
         save_memoizer(merge_memoizers([memo, Memoizer()]), path)
         restored = load_memoizer(path)
         assert len(restored.no_bounds) == len(memo.no_bounds)
-
-    def test_fixed_size_round_trips(self):
-        memo = Memoizer.paper()
-        _run(generate_program(PROGRAM_SPECS[0]), memo)
-        restored = loads(dumps(memo))
-        assert restored.no_bounds.fixed_size
-        assert restored.no_bounds.size == 4096

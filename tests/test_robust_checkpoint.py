@@ -11,7 +11,9 @@ import json
 
 import pytest
 
+from repro.core.analyzer import DependenceAnalyzer
 from repro.core.engine import PairQuery, analyze_batch
+from repro.core.memo import Memoizer
 from repro.core.result import DependenceResult, DirectionResult
 from repro.ir import builder as B
 from repro.obs.sinks import CollectingSink
@@ -125,7 +127,9 @@ class TestBatchCheckpointFile:
 
     def test_wrong_fingerprint_warns_and_cold_starts(self, tmp_path):
         path = tmp_path / "ck.json"
-        BatchCheckpoint(path, "fp-one").record(0, [([], _stats(), "{}", [])], [])
+        BatchCheckpoint(path, "fp-one").record(
+            0, [([], _stats(), Memoizer(), [])], []
+        )
         ckpt = BatchCheckpoint(path, "fp-two")
         with pytest.warns(RuntimeWarning, match="different batch"):
             assert ckpt.load(resume=True) == {}
@@ -153,9 +157,14 @@ class TestBatchCheckpointFile:
             )
         ]
         quarantined = QuarantinedCase(2, "b vs b", "timeout", 2)
+        memo = Memoizer()
+        query = _queries(1)[0]
+        DependenceAnalyzer(memoizer=memo).directions(
+            query.ref1, query.nest1, query.ref2, query.nest2
+        )
         writer = BatchCheckpoint(path, "fp")
-        writer.record(0, [(answers, _stats(), "{}", [])], [quarantined])
-        writer.record(1, [(answers, _stats(), "{}", [])], [])
+        writer.record(0, [(answers, _stats(), memo, [])], [quarantined])
+        writer.record(1, [(answers, _stats(), Memoizer(), [])], [])
 
         done = BatchCheckpoint(path, "fp").load(resume=True)
         assert sorted(done) == [0, 1]
@@ -163,19 +172,30 @@ class TestBatchCheckpointFile:
         assert quarantine == [quarantined]
         got_answers, got_stats, got_memo, got_events = outputs[0]
         assert got_answers == answers
-        assert got_memo == "{}"
+        assert _entries(got_memo) == _entries(memo)
+        assert len(memo.with_bounds) > 0
+        # The memo is embedded as an image object, not an escaped string.
+        image = json.loads(path.read_text())["shards"]["0"]["outputs"][0]["memo"]
+        assert image["format"] == "repro-memo"
         assert got_events == []
 
     def test_trace_events_refuse_to_checkpoint(self, tmp_path):
         ckpt = BatchCheckpoint(tmp_path / "ck.json", "fp")
         with pytest.raises(ValueError, match="not checkpointable"):
-            ckpt.record(0, [([], _stats(), "{}", ["event"])], [])
+            ckpt.record(0, [([], _stats(), Memoizer(), ["event"])], [])
 
 
 def _stats():
     from repro.core.stats import AnalyzerStats
 
     return AnalyzerStats()
+
+
+def _entries(memoizer):
+    return {
+        name: dict(getattr(memoizer, name).items())
+        for name in ("no_bounds", "with_bounds")
+    }
 
 
 class TestEngineResume:
@@ -192,6 +212,7 @@ class TestEngineResume:
             first.stats.registry.counter_snapshot()
             == resumed.stats.registry.counter_snapshot()
         )
+        assert _entries(resumed.memoizer) == _entries(first.memoizer)
 
     def test_partial_resume_is_bit_identical(self, tmp_path):
         queries = _queries()
@@ -214,6 +235,7 @@ class TestEngineResume:
             first.stats.registry.counter_snapshot()
             == resumed.stats.registry.counter_snapshot()
         )
+        assert _entries(resumed.memoizer) == _entries(first.memoizer)
 
     def test_changed_options_cold_start_with_warning(self, tmp_path):
         queries = _queries()

@@ -2,11 +2,14 @@
 
 import asyncio
 import json
+import sys
 import threading
 
 import pytest
 
 from repro.core.analyzer import DependenceAnalyzer
+from repro.core.memo import Memoizer
+from repro.core.persist import load_memoizer_safe, save_memoizer
 from repro.perfect import PROGRAM_SPECS, generate_program
 from repro.serve.cache import RecencyMemoTable, ServeCache, SingleFlight
 
@@ -19,6 +22,21 @@ def _warm(cache: ServeCache, spec_index: int = 1) -> int:
     for query in generate_program(PROGRAM_SPECS[spec_index]):
         analyzer.analyze(query.ref1, query.nest1, query.ref2, query.nest2)
     return cache.entry_count()
+
+
+def _entries(memoizer) -> dict:
+    return {
+        name: dict(getattr(memoizer, name).items())
+        for name in ("no_bounds", "with_bounds")
+    }
+
+
+def _replay_tests(memoizer, spec_index: int = 1) -> int:
+    """Dependence tests a workload still runs against ``memoizer``."""
+    analyzer = DependenceAnalyzer(memoizer=memoizer, want_witness=False)
+    for query in generate_program(PROGRAM_SPECS[spec_index]):
+        analyzer.analyze(query.ref1, query.nest1, query.ref2, query.nest2)
+    return sum(analyzer.stats.decided_by.values())
 
 
 class TestRecencyMemoTable:
@@ -50,7 +68,7 @@ class TestRecencyMemoTable:
         assert table.used[(2,)] > 50
 
     def test_concurrent_mutation_is_consistent(self):
-        table = RecencyMemoTable(size=8)  # small: forces resizes
+        table = RecencyMemoTable()
         n_threads, per_thread = 8, 500
 
         def hammer(base):
@@ -127,8 +145,58 @@ class TestServeCachePersistence:
         _warm(cache)
         cache.save()
         blob = json.loads(path.read_text())
-        blob["cache_version"] = 999
+        blob["version"] = 999
         path.write_text(json.dumps(blob))
+        with pytest.warns(RuntimeWarning, match="mismatch"):
+            cold = ServeCache(path=path)
+        assert cold.entry_count() == 0
+        assert cold.registry.get("serve.cache.version_skips") == 1
+
+    def test_non_object_entry_warns_and_starts_cold(self, tmp_path):
+        """Regression: a store entry that is not a JSON object raised
+        AttributeError out of the constructor, so the daemon could not
+        start."""
+        path = tmp_path / "serve-cache.json"
+        cache = ServeCache(path=path)
+        _warm(cache)
+        cache.save()
+        blob = json.loads(path.read_text())
+        blob["tables"]["no_bounds"].append(42)
+        path.write_text(json.dumps(blob))
+        with pytest.warns(RuntimeWarning, match="cold"):
+            cold = ServeCache(path=path)
+        assert cold.entry_count() == 0
+        assert cold.registry.get("serve.cache.load_failures") == 1
+
+    def test_undecodable_last_entry_adopts_nothing(self, tmp_path):
+        """Loading is all-or-nothing: a bad last entry must not leave
+        every earlier entry live behind a "starts cold" warning."""
+        path = tmp_path / "serve-cache.json"
+        cache = ServeCache(path=path)
+        _warm(cache)
+        cache.save()
+        blob = json.loads(path.read_text())
+        blob["tables"]["with_bounds"][-1]["value"]["kind"] = "bogus"
+        path.write_text(json.dumps(blob))
+        with pytest.warns(RuntimeWarning, match="cold"):
+            cold = ServeCache(path=path)
+        assert cold.entry_count() == 0
+        assert cold.loaded_entries == 0
+        assert cold.registry.get("serve.cache.load_failures") == 1
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"version": 1, "improved": True, "symmetry": False},
+            {"cache_version": 1, "protocol_version": 3, "improved": True,
+             "symmetry": False},
+        ],
+        ids=["persist-v1", "serve-cache-v1"],
+    )
+    def test_version_1_files_are_version_skips(self, tmp_path, header):
+        """Images of the two older layouts are caches: warn, start cold."""
+        path = tmp_path / "serve-cache.json"
+        path.write_text(json.dumps(dict(header, tables={})))
         with pytest.warns(RuntimeWarning, match="mismatch"):
             cold = ServeCache(path=path)
         assert cold.entry_count() == 0
@@ -157,6 +225,115 @@ class TestServeCachePersistence:
         cache = ServeCache(path=None)
         _warm(cache)
         assert cache.save() == 0
+
+
+class TestOneImageFormat:
+    """``batch --warm-cache`` files, the serve store and spill images
+    are one format: each loads wherever the others do."""
+
+    def test_warm_cache_file_warms_the_daemon(self, tmp_path):
+        memo = Memoizer()
+        _replay_tests(memo)
+        path = tmp_path / "warm.json"
+        save_memoizer(memo, path)
+
+        cache = ServeCache(path=path)
+        assert cache.loaded_entries == len(memo.no_bounds) + len(
+            memo.with_bounds
+        )
+        assert _entries(cache.memoizer) == _entries(memo)
+        assert _replay_tests(cache.memoizer) == 0
+
+    def test_serve_store_loads_as_warm_cache(self, tmp_path):
+        path = tmp_path / "serve-cache.json"
+        cache = ServeCache(path=path)
+        _warm(cache)
+        cache.save()
+        memo = load_memoizer_safe(path)
+        assert memo is not None
+        assert _entries(memo) == _entries(cache.memoizer)
+
+    def test_spill_image_loads_as_warm_cache(self, tmp_path):
+        cache = ServeCache()
+        count = _warm(cache)
+        path = tmp_path / "w0.memo.json"
+        assert cache.spill(path) == count
+        memo = load_memoizer_safe(path)
+        assert memo is not None
+        assert _entries(memo) == _entries(cache.memoizer)
+
+    def test_used_stamps_survive_when_present(self, tmp_path):
+        path = tmp_path / "serve-cache.json"
+        cache = ServeCache(path=path)
+        _warm(cache)
+        cache.memoizer.with_bounds.lookup(
+            next(iter(cache.memoizer.with_bounds.used))
+        )
+        cache.save()
+        reloaded = ServeCache(path=path)
+        for name in ("no_bounds", "with_bounds"):
+            assert (
+                getattr(reloaded.memoizer, name).used
+                == getattr(cache.memoizer, name).used
+            )
+
+
+class TestSharedTableConcurrency:
+    def test_snapshots_and_writes_under_concurrent_inserts(self, tmp_path):
+        """Copies, saves and spills run safely against live inserts, no
+        insert is lost, and every copy is a subset of the final table."""
+        warmed = ServeCache()
+        _warm(warmed)
+        _, value = warmed.memoizer.with_bounds.items()[0]  # a real memo value
+        cache = ServeCache(path=tmp_path / "serve-cache.json")
+        table = cache.memoizer.with_bounds
+        n_threads, per_thread = 8, 400
+        done = threading.Event()
+        copies: list = []
+        errors: list = []
+
+        def insert(base):
+            try:
+                for i in range(per_thread):
+                    table.insert((base, i), value)
+            except Exception as err:  # pragma: no cover - the failure
+                errors.append(err)
+
+        def snapshot():
+            try:
+                while True:
+                    copies.append(cache.memoizer.copy())
+                    cache.save()
+                    cache.spill(tmp_path / "spill.memo.json")
+                    if done.is_set():
+                        return
+            except Exception as err:  # pragma: no cover - the failure
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=snapshot)] + [
+                threading.Thread(target=insert, args=(t,))
+                for t in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads[1:]:
+                t.join(timeout=60)
+            done.set()
+            threads[0].join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        final = dict(table.items())
+        assert len(final) == n_threads * per_thread
+        assert len(table.used) == n_threads * per_thread
+        assert copies
+        for copy in copies:
+            assert dict(copy.with_bounds.items()).items() <= final.items()
 
 
 class TestLruByteBound:
