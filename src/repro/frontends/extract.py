@@ -35,7 +35,7 @@ from repro.frontends.cfront import translate_c
 from repro.frontends.pyfront import translate_python
 from repro.ir.program import Program
 from repro.lang.ast_nodes import ForLoop, SourceProgram, walk_statements
-from repro.lang.errors import ParseError
+from repro.lang.errors import LangError
 from repro.lang.lower import lower
 from repro.lang.parser import parse as parse_loop
 from repro.opt.pipeline import optimize
@@ -96,7 +96,7 @@ def extract_source(
             ast_program = parse_loop(text, name=name)
             skipped = []
             spans = _loop_spans(ast_program)
-    except (SyntaxError, ParseError) as err:
+    except (SyntaxError, LangError) as err:
         line = getattr(err, "lineno", None) or getattr(err, "line", 0) or 0
         record = SkipRecord(SkipReason.PARSE_ERROR, line, str(err))
         return ExtractResult(
@@ -202,19 +202,22 @@ _LABEL_LINE = re.compile(r"^line(\d+)$")
 def _group_nests(
     lang: str, program: Program, spans: list[tuple[str, SourceSpan]]
 ) -> list[ExtractedNest]:
+    """Each labelled statement joins the first nest whose span holds its
+    line.  Spans overlap only where a function is defined inside a loop,
+    and the function's nests come first in ``spans``."""
     nests = [
         ExtractedNest(index=i, language=lang, context=context, span=span)
         for i, (context, span) in enumerate(spans)
     ]
+    owner: dict[int, ExtractedNest] = {}
+    for nest in nests:
+        for line in range(nest.span.line, nest.span.end_line + 1):
+            owner.setdefault(line, nest)
     for stmt in program.statements:
         match = _LABEL_LINE.match(stmt.label)
-        if not match:
-            continue
-        line = int(match.group(1))
-        for nest in nests:
-            if nest.span.contains(line):
-                nest.statements.append(stmt)
-                break
+        nest = owner.get(int(match.group(1))) if match else None
+        if nest is not None:
+            nest.statements.append(stmt)
     return nests
 
 

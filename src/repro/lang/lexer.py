@@ -1,36 +1,35 @@
-"""Hand-written lexer for the mini-Fortran loop language.
+"""Lexer for the mini-Fortran loop language.
 
 The language is line-oriented: newlines terminate statements (like
-Fortran), ``#`` starts a comment to end of line.
+Fortran), ``#`` starts a comment to end of line.  Each line is scanned
+by one compiled regex.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.lang.errors import LexError
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
 __all__ = ["tokenize"]
 
-_SINGLE_CHAR = {
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "=": TokenKind.ASSIGN,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ",": TokenKind.COMMA,
-}
+# One match per token, with the blanks before it, which give its column.
+# A token is decimal digits (exactly the characters int() reads), a word
+# (a word character that is not a decimal digit, then word characters;
+# ``\w`` is ``str.isalnum`` plus ``_``), a two-character operator, or any
+# other single character.  tokenize() rejects a word that starts with a
+# numeral other than a decimal digit (``²``, ``½``), and a single
+# character that is no operator or delimiter.
+_TOKEN = re.compile(r"([ \t\r]*)(\d+|[^\W\d]\w*|<=|>=|==|!=|[^ \t\r])")
 
-_TWO_CHAR = {
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-    "==": TokenKind.EQEQ,
-    "!=": TokenKind.NE,
-}
+# An operator's or delimiter's kind is its text; a keyword's is KEYWORD.
+_FIXED_KINDS = {text: text for text in ("<=", ">=", "==", "!=", *"+-*=<>()[],")}
+_FIXED_KINDS.update((word, TokenKind.KEYWORD) for word in KEYWORDS)
+
+_INT = TokenKind.INT
+_IDENT = TokenKind.IDENT
+_NEWLINE = TokenKind.NEWLINE
 
 
 def tokenize(source: str) -> list[Token]:
@@ -38,64 +37,36 @@ def tokenize(source: str) -> list[Token]:
 
     Consecutive newlines collapse into one NEWLINE token; a trailing
     NEWLINE is guaranteed before EOF so the parser can treat lines
-    uniformly.
+    uniformly.  A column counts every character before it on its line,
+    a tab or carriage return as one, except a comment's: the NEWLINE
+    after a comment, and EOF after a final one, sit at the ``#``.
     """
     tokens: list[Token] = []
-    line = 1
-    column = 1
-    i = 0
-    n = len(source)
-
-    def emit(kind: str, text: str) -> None:
-        tokens.append(Token(kind, text, line, column))
-
-    while i < n:
-        ch = source[i]
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            if tokens and tokens[-1].kind != TokenKind.NEWLINE:
-                emit(TokenKind.NEWLINE, "\\n")
-            i += 1
-            line += 1
-            column = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        pair = source[i : i + 2]
-        if pair in _TWO_CHAR:
-            emit(_TWO_CHAR[pair], pair)
-            i += 2
-            column += 2
-            continue
-        if ch in _SINGLE_CHAR:
-            emit(_SINGLE_CHAR[ch], ch)
-            i += 1
-            column += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            emit(TokenKind.INT, source[start:i])
-            column += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            emit(kind, text)
-            column += i - start
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, column)
-
-    if tokens and tokens[-1].kind != TokenKind.NEWLINE:
-        tokens.append(Token(TokenKind.NEWLINE, "\\n", line, column))
-    tokens.append(Token(TokenKind.EOF, "", line, column))
+    append = tokens.append
+    make = tuple.__new__
+    findall = _TOKEN.findall
+    fixed_kind = _FIXED_KINDS.get
+    # split() yields at least one line, so the loop sets number and end.
+    for number, line in enumerate(source.split("\n"), 1):
+        cut = line.find("#")
+        if cut >= 0:
+            line = line[:cut]
+        column = 1
+        for blanks, text in findall(line):
+            column += len(blanks)
+            kind = fixed_kind(text)
+            if kind is None:
+                first = text[0]
+                if first.isdecimal():
+                    kind = _INT
+                elif first.isalpha() or first == "_":
+                    kind = _IDENT
+                else:
+                    raise LexError(f"unexpected character {first!r}", number, column)
+            append(make(Token, (kind, text, number, column)))
+            column += len(text)
+        end = len(line) + 1
+        if tokens and tokens[-1].kind != _NEWLINE:
+            append(make(Token, (_NEWLINE, "\\n", number, end)))
+    tokens.append(Token(TokenKind.EOF, "", number, end))
     return tokens

@@ -36,6 +36,13 @@ from repro.lang.tokens import Token, TokenKind
 
 __all__ = ["parse", "Parser"]
 
+_INT = TokenKind.INT
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_NEWLINE = TokenKind.NEWLINE
+_EOF = TokenKind.EOF
+_COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
+
 
 def parse(source: str, name: str = "<source>") -> SourceProgram:
     """Parse source text into a :class:`SourceProgram`."""
@@ -46,114 +53,99 @@ def parse(source: str, name: str = "<source>") -> SourceProgram:
 
 
 class Parser:
+    """Recursive descent over the token list, read by index.
+
+    ``self._tokens[self._pos]`` is the next token, and each rule
+    compares its kind inline; an operator's or delimiter's kind is its
+    text.  A rule moves past a token only once it has matched a kind
+    other than EOF, so the index never leaves the list.
+    """
+
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
 
-    # -- token plumbing --------------------------------------------------------
-
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._current
-        if token.kind != TokenKind.EOF:
-            self._pos += 1
-        return token
-
-    def _check(self, kind: str, text: str | None = None) -> bool:
-        token = self._current
-        if token.kind != kind:
-            return False
-        return text is None or token.text == text
-
-    def _accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self._check(kind, text):
-            return self._advance()
-        return None
-
     def _expect(self, kind: str, text: str | None = None) -> Token:
-        token = self._current
-        if not self._check(kind, text):
-            wanted = text or kind
+        """Read the next token, which must be ``kind`` (never EOF) and,
+        if given, ``text``."""
+        token = self._tokens[self._pos]
+        if token.kind != kind or (text is not None and token.text != text):
             raise ParseError(
-                f"expected {wanted!r}, found {token.text!r}",
+                f"expected {text or kind!r}, found {token.text!r}",
                 token.line,
                 token.column,
             )
-        return self._advance()
-
-    def _skip_newlines(self) -> None:
-        while self._accept(TokenKind.NEWLINE):
-            pass
+        self._pos += 1
+        return token
 
     # -- grammar ----------------------------------------------------------------
 
     def parse_program(self) -> SourceProgram:
-        body = self._statements(until_end=False)
-        self._expect(TokenKind.EOF)
-        return SourceProgram(body=body)
+        return SourceProgram(body=self._block(()))
 
-    def _statements(self, until_end: bool) -> list[Stmt]:
+    def _block(self, stops: tuple[str, ...]) -> list[Stmt]:
+        """Statements up to one of the keywords ``stops``, left unread;
+        with no stops (the program), up to EOF."""
         out: list[Stmt] = []
-        self._skip_newlines()
+        tokens = self._tokens
         while True:
-            if self._check(TokenKind.EOF):
-                if until_end:
-                    token = self._current
-                    raise ParseError("missing 'end'", token.line, token.column)
+            token = tokens[self._pos]
+            kind = token.kind
+            if kind == _NEWLINE:
+                self._pos += 1
+            elif kind == _EOF:
+                if stops:
+                    raise ParseError(
+                        f"missing {' or '.join(repr(s) for s in stops)}",
+                        token.line,
+                        token.column,
+                    )
                 return out
-            if until_end and self._check(TokenKind.KEYWORD, "end"):
+            elif kind == _KEYWORD and token.text in stops:
                 return out
-            out.append(self._statement())
-            self._skip_newlines()
+            else:
+                out.append(self._statement(token))
 
-    def _statement(self) -> Stmt:
-        token = self._current
-        if self._check(TokenKind.KEYWORD, "for"):
-            return self._for_loop()
-        if self._check(TokenKind.KEYWORD, "if"):
-            return self._if_stmt()
-        if self._check(TokenKind.KEYWORD, "read"):
-            return self._read()
-        if self._check(TokenKind.IDENT):
-            return self._assign()
+    def _statement(self, token: Token) -> Stmt:
+        """The statement ``token``, the next token, starts."""
+        kind = token.kind
+        if kind == _IDENT:
+            return self._assign(token)
+        if kind == _KEYWORD:
+            if token.text == "for":
+                return self._for_loop(token)
+            if token.text == "if":
+                return self._if_stmt(token)
+            if token.text == "read":
+                return self._read(token)
         raise ParseError(
             f"expected a statement, found {token.text!r}",
             token.line,
             token.column,
         )
 
-    def _if_stmt(self) -> IfStmt:
-        keyword = self._expect(TokenKind.KEYWORD, "if")
+    def _if_stmt(self, keyword: Token) -> IfStmt:
+        self._pos += 1
         left = self._expression()
-        op_token = self._current
-        if op_token.kind not in (
-            TokenKind.LT,
-            TokenKind.LE,
-            TokenKind.GT,
-            TokenKind.GE,
-            TokenKind.EQEQ,
-            TokenKind.NE,
-        ):
+        op_token = self._tokens[self._pos]
+        if op_token.kind not in _COMPARISONS:
             raise ParseError(
                 f"expected a comparison operator, found {op_token.text!r}",
                 op_token.line,
                 op_token.column,
             )
-        self._advance()
+        self._pos += 1
         right = self._expression()
-        self._expect(TokenKind.KEYWORD, "then")
+        self._expect(_KEYWORD, "then")
         self._end_of_statement()
-        then_body = self._statements_until(("end", "else"))
+        then_body = self._block(("end", "else"))
         else_body: list[Stmt] = []
-        if self._accept(TokenKind.KEYWORD, "else"):
+        token = self._tokens[self._pos]
+        if token.kind == _KEYWORD and token.text == "else":
+            self._pos += 1
             self._end_of_statement()
-            else_body = self._statements_until(("end",))
-        self._expect(TokenKind.KEYWORD, "end")
-        self._accept(TokenKind.KEYWORD, "if")
-        self._end_of_statement()
+            else_body = self._block(("end",))
+        self._end("if")
         return IfStmt(
             op=op_token.text,
             left=left,
@@ -163,119 +155,122 @@ class Parser:
             line=keyword.line,
         )
 
-    def _statements_until(self, stops: tuple[str, ...]) -> list[Stmt]:
-        out: list[Stmt] = []
-        self._skip_newlines()
-        while True:
-            if self._check(TokenKind.EOF):
-                token = self._current
-                raise ParseError(
-                    f"missing {' or '.join(repr(s) for s in stops)}",
-                    token.line,
-                    token.column,
-                )
-            if any(self._check(TokenKind.KEYWORD, stop) for stop in stops):
-                return out
-            out.append(self._statement())
-            self._skip_newlines()
-
-    def _read(self) -> Read:
-        keyword = self._expect(TokenKind.KEYWORD, "read")
-        self._expect(TokenKind.LPAREN)
-        ident = self._expect(TokenKind.IDENT)
-        self._expect(TokenKind.RPAREN)
+    def _read(self, keyword: Token) -> Read:
+        self._pos += 1
+        self._expect("(")
+        ident = self._expect(_IDENT)
+        self._expect(")")
         self._end_of_statement()
         return Read(ident.text, line=keyword.line)
 
-    def _for_loop(self) -> ForLoop:
-        keyword = self._expect(TokenKind.KEYWORD, "for")
-        var = self._expect(TokenKind.IDENT)
-        self._expect(TokenKind.ASSIGN)
+    def _for_loop(self, keyword: Token) -> ForLoop:
+        self._pos += 1
+        var = self._expect(_IDENT)
+        self._expect("=")
         lower = self._expression()
-        self._expect(TokenKind.KEYWORD, "to")
+        self._expect(_KEYWORD, "to")
         upper = self._expression()
         step = 1
-        if self._accept(TokenKind.KEYWORD, "step"):
-            negative = self._accept(TokenKind.MINUS) is not None
-            step_token = self._expect(TokenKind.INT)
+        token = self._tokens[self._pos]
+        if token.kind == _KEYWORD and token.text == "step":
+            self._pos += 1
+            negative = self._tokens[self._pos].kind == "-"
+            if negative:
+                self._pos += 1
+            step_token = self._expect(_INT)
             step = -step_token.int_value if negative else step_token.int_value
             if step == 0:
                 raise ParseError(
                     "loop step must be non-zero", step_token.line, step_token.column
                 )
-        self._expect(TokenKind.KEYWORD, "do")
+        self._expect(_KEYWORD, "do")
         self._end_of_statement()
-        body = self._statements(until_end=True)
-        self._expect(TokenKind.KEYWORD, "end")
-        self._accept(TokenKind.KEYWORD, "for")
-        self._end_of_statement()
+        body = self._block(("end",))
+        self._end("for")
         return ForLoop(var.text, lower, upper, step, body, line=keyword.line)
 
-    def _assign(self) -> Assign:
-        target = self._lvalue()
-        equals = self._expect(TokenKind.ASSIGN)
+    def _end(self, closer: str) -> None:
+        """``end``, an optional ``closer`` keyword, then the statement end."""
+        self._expect(_KEYWORD, "end")
+        token = self._tokens[self._pos]
+        if token.kind == _KEYWORD and token.text == closer:
+            self._pos += 1
+        self._end_of_statement()
+
+    def _assign(self, ident: Token) -> Assign:
+        self._pos += 1
+        if self._tokens[self._pos].kind == "[":
+            target = self._access(ident.text)
+        else:
+            target = Name(ident.text)
+        equals = self._expect("=")
         expr = self._expression()
         self._end_of_statement()
         return Assign(target, expr, line=equals.line)
 
-    def _lvalue(self) -> Expr:
-        ident = self._expect(TokenKind.IDENT)
-        subs = self._subscripts()
-        if subs:
-            return Access(ident.text, subs)
-        return Name(ident.text)
-
-    def _subscripts(self) -> tuple[Expr, ...]:
+    def _access(self, array: str) -> Access:
+        """The subscripts after the name ``array``, already read; the
+        next token is ``[``."""
+        tokens = self._tokens
         subs: list[Expr] = []
-        while self._accept(TokenKind.LBRACKET):
+        while tokens[self._pos].kind == "[":
+            self._pos += 1
             subs.append(self._expression())
-            self._expect(TokenKind.RBRACKET)
-        return tuple(subs)
+            self._expect("]")
+        return Access(array, tuple(subs))
 
     def _end_of_statement(self) -> None:
-        if self._check(TokenKind.EOF):
-            return
-        if self._check(TokenKind.KEYWORD, "end"):
-            return
-        self._expect(TokenKind.NEWLINE)
+        """A NEWLINE ends a statement; EOF or an ``end`` ends it unread."""
+        token = self._tokens[self._pos]
+        kind = token.kind
+        if kind == _NEWLINE:
+            self._pos += 1
+        elif kind != _EOF and not (kind == _KEYWORD and token.text == "end"):
+            raise ParseError(
+                f"expected {_NEWLINE!r}, found {token.text!r}",
+                token.line,
+                token.column,
+            )
 
     # -- expressions --------------------------------------------------------------
 
     def _expression(self) -> Expr:
-        expr = self._term()
+        """``term (("+" | "-") term)*``, each term ``unary ("*" unary)*``."""
+        tokens = self._tokens
+        unary = self._unary
+        expr = op = None
         while True:
-            if self._accept(TokenKind.PLUS):
-                expr = BinOp("+", expr, self._term())
-            elif self._accept(TokenKind.MINUS):
-                expr = BinOp("-", expr, self._term())
-            else:
+            term = unary()
+            while tokens[self._pos].kind == "*":
+                self._pos += 1
+                term = BinOp("*", term, unary())
+            expr = term if op is None else BinOp(op, expr, term)
+            op = tokens[self._pos].kind
+            if op != "+" and op != "-":
                 return expr
-
-    def _term(self) -> Expr:
-        expr = self._unary()
-        while self._accept(TokenKind.STAR):
-            expr = BinOp("*", expr, self._unary())
-        return expr
+            self._pos += 1
 
     def _unary(self) -> Expr:
-        if self._accept(TokenKind.MINUS):
-            return BinOp("-", Num(0), self._unary())
-        return self._atom()
-
-    def _atom(self) -> Expr:
-        token = self._current
-        if self._accept(TokenKind.INT):
+        """``["-"] atom``, the atom read inline."""
+        tokens = self._tokens
+        token = tokens[self._pos]
+        kind = token.kind
+        if kind == _IDENT:
+            self._pos += 1
+            if tokens[self._pos].kind == "[":
+                return self._access(token.text)
+            return Name(token.text)
+        if kind == _INT:
+            self._pos += 1
             return Num(int(token.text))
-        if self._accept(TokenKind.LPAREN):
+        if kind == "-":
+            self._pos += 1
+            return BinOp("-", Num(0), self._unary())
+        if kind == "(":
+            self._pos += 1
             expr = self._expression()
-            self._expect(TokenKind.RPAREN)
+            self._expect(")")
             return expr
-        if self._check(TokenKind.IDENT):
-            ident = self._advance()
-            subs = self._subscripts()
-            if subs:
-                return Access(ident.text, subs)
-            return Name(ident.text)
         raise ParseError(
             f"expected an expression, found {token.text!r}",
             token.line,

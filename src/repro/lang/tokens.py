@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Token", "TokenKind", "KEYWORDS"]
 
@@ -37,8 +37,11 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token, a named tuple: the lexer builds it with
+    ``tuple.__new__(Token, (kind, text, line, column))``, no call to a
+    Python ``__new__`` or ``__init__``."""
+
     kind: str
     text: str
     line: int

@@ -13,9 +13,12 @@ and review the diff like any other code change.
 import json
 import os
 import pathlib
+import re
 
 import pytest
 
+from repro.api import analyze_source
+from repro.cli import main as repro_main
 from repro.core.analyzer import DependenceAnalyzer
 from repro.core.graph import build_graph
 from repro.frontends import (
@@ -28,6 +31,8 @@ from repro.frontends import (
 )
 from repro.lang.unparse import program_to_source
 from repro.opt import compile_source
+from repro.perfect import load_suite
+from repro.perfect.source_gen import queries_to_source
 
 CORPUS = pathlib.Path(__file__).parent / "corpus" / "frontends"
 GOLDEN = CORPUS / "golden"
@@ -179,10 +184,73 @@ def test_nests_carry_spans_and_context():
         assert nest.loop_variables() == ("i", "j")
 
 
+# A function defined inside a loop: g's nest (lines 5-6) lies inside
+# f's (lines 2-7), and the frontend lists g's first.
+NESTED_FUNCTION = """\
+def f(a, b, n):
+    for i in range(n):
+        a[i] = a[i] + 1
+        def g(c, m):
+            for j in range(m):
+                c[j] = c[j] + 1
+        b[i] = a[i]
+"""
+
+
+def test_overlapping_spans_group_to_the_first_nest():
+    extraction = extract_source(NESTED_FUNCTION, lang="python")
+    g, f = extraction.nests
+    assert (g.context, g.span.line, g.span.end_line) == ("g", 5, 6)
+    assert (f.context, f.span.line, f.span.end_line) == ("f", 2, 7)
+    assert [s.label for s in g.statements] == ["line6"]
+    assert [s.label for s in f.statements] == ["line3", "line7"]
+
+
+def _grouping_sources():
+    for path in SOURCES:
+        yield path.name, path.read_text(), detect_language(path)
+    yield "nested-function", NESTED_FUNCTION, "python"
+    for program in load_suite(include_symbolic=True, scale=0.05):
+        yield program.name, queries_to_source(list(program.queries)), "loop"
+
+
+@pytest.mark.parametrize(
+    "text, lang", [pytest.param(t, lang, id=n) for n, t, lang in _grouping_sources()]
+)
+def test_grouping_matches_first_containing_span(text, lang):
+    """The line map gives every statement the nest the old linear scan
+    over the spans gave it: the first whose span holds its line."""
+    extraction = extract_source(text, lang=lang)
+    grouped = {id(s): nest.index for nest in extraction.nests for s in nest.statements}
+    assert extraction.program.statements
+    for stmt in extraction.program.statements:
+        line = int(re.fullmatch(r"line(\d+)", stmt.label).group(1))
+        want = None
+        for nest in extraction.nests:
+            if nest.span.contains(line):
+                want = nest.index
+                break
+        assert grouped.get(id(stmt)) == want, stmt.label
+
+
 def test_parse_error_is_a_skip_not_a_crash():
     extraction = extract_source("def broken(:\n", lang="python", name="x")
     assert not extraction.program.statements
     assert [r.reason for r in extraction.skipped] == [SkipReason.PARSE_ERROR]
+
+
+def test_lex_error_is_a_skip_not_a_crash(tmp_path, capsys):
+    """A .loop lex error is a parse-error record, like a parse error."""
+    extraction = extract_source("x = $\n", lang="loop", name="x")
+    assert not extraction.program.statements
+    assert [(r.reason, r.line, r.detail) for r in extraction.skipped] == [
+        (SkipReason.PARSE_ERROR, 1, "1:5: unexpected character '$'")
+    ]
+    assert analyze_source("x = $\n").extraction.skipped == extraction.skipped
+    path = tmp_path / "bad.loop"
+    path.write_text("x = $\n")
+    assert repro_main(["extract", str(path)]) == 0
+    assert "[parse-error]" in capsys.readouterr().out
 
 
 def test_unknown_language_rejected():

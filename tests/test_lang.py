@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.ir.program import reference_pairs
 from repro.lang import (
     Access,
@@ -52,6 +53,34 @@ class TestLexer:
     def test_bad_character(self):
         with pytest.raises(LexError):
             tokenize("x = $")
+
+    def test_comment_newline_sits_at_the_hash(self):
+        # Comment characters are not counted, so the NEWLINE ending a
+        # commented line, and EOF after a final one, sit at the '#'.
+        tokens = tokenize("x = 1 # note\ny = 2  # end")
+        ends = [
+            (t.kind, t.line, t.column) for t in tokens if t.kind in ("newline", "eof")
+        ]
+        assert ends == [("newline", 1, 7), ("newline", 2, 8), ("eof", 2, 8)]
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("for i = 1 to ² do", 14), ("x = 1²", 6), ("x = ①", 5), ("a² = ½", 6)],
+    )
+    def test_non_decimal_numeral_is_a_lex_error(self, text, column):
+        # str.isdigit() holds for '²' and '①', but int() reads neither:
+        # an INT is a run of decimal digits, and no token starts with
+        # another numeral.  Inside a name, one is still a name character.
+        with pytest.raises(LexError) as info:
+            tokenize(text)
+        assert (info.value.line, info.value.column) == (1, column)
+        bad = text[column - 1]
+        assert str(info.value) == f"1:{column}: unexpected character {bad!r}"
+
+    def test_decimal_digits_of_other_scripts(self):
+        ints = [t for t in tokenize("x = ٣٣ + a²") if t.kind == TokenKind.INT]
+        assert [(t.text, t.int_value) for t in ints] == [("٣٣", 33)]
+        assert parse("x = ٣").body[0].expr.value == 3
 
 
 class TestParser:
@@ -134,6 +163,14 @@ class TestParser:
             parse("to = 3")
         with pytest.raises(ParseError):
             parse("[x] = 3")
+
+
+class TestCliExitCodes:
+    def test_non_decimal_numeral_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.loop"
+        path.write_text("for i = 1 to ² do\n  a[i] = a[i - 1]\nend\n")
+        assert repro_main(["analyze", str(path)]) == 2
+        assert "1:14: unexpected character '²'" in capsys.readouterr().err
 
 
 class TestLowering:
