@@ -645,8 +645,6 @@ def _worker_passthrough_args(args: argparse.Namespace) -> tuple[str, ...]:
     ]
     if args.deadline_ms is not None:
         out += ["--deadline-ms", str(args.deadline_ms)]
-    if args.jobs is not None:
-        out += ["--jobs", str(args.jobs)]
     if args.symmetry:
         out.append("--symmetry")
     for flag, value in (
@@ -696,7 +694,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         queue_limit=args.queue_limit,
         deadline_ms=args.deadline_ms,
-        pool_jobs=args.jobs,
         symmetry=args.symmetry,
         fm_budget=args.fm_budget,
         budget=_budget_from_args(args),
@@ -1343,13 +1340,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="per-query budget; exceeded queries degrade to the "
         "conservative flagged verdict (default: unbounded)",
-    )
-    p_serve.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        help="process-pool workers for heavy batches (default: CPU count)",
     )
     p_serve.add_argument("--symmetry", action="store_true")
     p_serve.add_argument("--fm-budget", type=int, default=256)

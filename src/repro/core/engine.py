@@ -14,10 +14,11 @@ whole-program (and multi-program) execution strategy:
    serializations — alpha-renamed twins).  Each canonical problem is
    analyzed exactly once, so duplicated queries never even pay for
    a memo probe.
-3. **Sharding** — unique problems are dealt round-robin across a
-   ``multiprocessing`` worker pool; every worker runs its own
-   :class:`~repro.core.analyzer.DependenceAnalyzer` with a private
-   :class:`~repro.core.memo.Memoizer`.
+3. **Sharding** — unique problems are dealt across shards, each run
+   in its own supervised child process
+   (:func:`repro.robust.watchdog.run_supervised`); every worker runs
+   its own :class:`~repro.core.analyzer.DependenceAnalyzer` with a
+   private :class:`~repro.core.memo.Memoizer`.
 4. **Map-reduce merging** — worker verdicts are fanned back out to the
    original query order, :class:`~repro.core.stats.AnalyzerStats` are
    summed, and the workers' memo tables are unioned with
@@ -32,11 +33,10 @@ problem, so the shard count never changes any answer.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.core.analyzer import DependenceAnalyzer
 from repro.core.memo import Memoizer
@@ -263,12 +263,6 @@ def _run_shard(payload):
     return answers, analyzer.stats, memoizer, events
 
 
-def _pool_context():
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 # -- supervised execution (watchdog / checkpoint) ------------------------------
 
 
@@ -338,7 +332,6 @@ def analyze_batch(
     symmetry: bool = False,
     fm_budget: int = 256,
     sink: TraceSink | None = None,
-    pool_map: Callable[[list], list] | None = None,
     budget: ResourceBudget | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
@@ -351,48 +344,47 @@ def analyze_batch(
     ``queries`` may hold :class:`PairQuery` objects or anything with
     ``ref1/nest1/ref2/nest2`` attributes (e.g. the synthetic suite's
     :class:`~repro.perfect.patterns.Query`).  ``jobs`` defaults to the
-    machine's CPU count; ``jobs=1`` runs the identical pipeline
-    in-process (dedup still applies).  ``warm`` pre-loads every worker's
-    memoizer from a previous run's merged table (a
+    machine's CPU count.  ``warm`` pre-loads every worker's memoizer
+    from a previous run's merged table (a
     :class:`~repro.core.memo.Memoizer` or a path saved by
     :func:`~repro.core.persist.save_memoizer`); its keying scheme must
     match ``improved``/``symmetry``.
 
+    The batch runs in-process when ``jobs=1``, when it holds one shard,
+    or on a one-CPU host (forked workers would only timeshare the core)
+    — unless ``shard_timeout`` or ``checkpoint`` is set.  Otherwise
+    every shard runs in its own supervised child process
+    (:func:`repro.robust.watchdog.run_supervised`): a worker that dies
+    or outlives ``shard_timeout`` gets a fresh process up to
+    ``shard_retries`` times, a case that defeats every retry is
+    quarantined (conservative in-process answer, reported in
+    :attr:`BatchReport.quarantine`), and with ``checkpoint`` completed
+    shards are saved atomically so ``resume=True`` replays them instead
+    of recomputing — the resumed run's report is identical to an
+    uninterrupted one.  ``checkpoint`` cannot be combined with a trace
+    ``sink`` (event streams are not checkpointable).  Dedup applies on
+    both paths, and the path never changes an answer.
+
     With a ``sink``, every worker collects its queries' trace events
     and the reduce step replays them into the sink in deterministic
-    round-robin shard order with globally renumbered query ids —
-    sharding never changes the trace (timings aside).
-
-    ``pool_map`` lets a caller supply its own fan-out executor (e.g.
-    the serving layer's persistent :class:`repro.serve.pool.WorkerPool`
-    with crashed-worker recycling): it receives the list of shard
-    payloads and must return one :func:`_run_shard` output per payload,
-    in order.  ``None`` keeps the built-in per-call pool.
+    shard order with globally renumbered query ids — sharding never
+    changes the trace (timings aside).
 
     ``budget`` bounds every worker's analyzer
     (:class:`~repro.robust.budget.ResourceBudget`); a blown budget
     degrades that query to a conservative flagged answer instead of
-    running away.  ``shard_timeout``/``shard_retries`` and
-    ``checkpoint``/``resume`` switch execution to the supervised path
-    (:func:`repro.robust.watchdog.run_supervised`): each shard runs in
-    its own watched process, a case that defeats ``shard_retries``
-    retries is quarantined (conservative in-process answer, reported in
-    :attr:`BatchReport.quarantine`), and completed shards are
-    checkpointed atomically so ``resume=True`` replays them instead of
-    recomputing — the resumed run's report is identical to an
-    uninterrupted one.  ``checkpoint`` cannot be combined with a trace
-    ``sink`` (event streams are not checkpointable).
+    running away.
 
     Every shard otherwise starts from its own :meth:`Memoizer.copy`
     of ``warm``, so the caller's table is never mutated.
-    ``share_warm=True`` lets the serial in-process path (one shard, or
-    ``jobs=1``) use the caller's ``warm`` object directly instead: the
-    shard extends it in place and :attr:`BatchReport.memoizer` *is*
-    that object.  Answers are identical either way (memo entries are
-    pure); the only observable difference is that the caller's table
-    gains the batch's entries without a copy or a merge step — exactly
-    what a long-lived incremental session wants.  Ignored on
-    multi-process, pool and supervised paths.
+    ``share_warm=True`` lets the in-process path use the caller's
+    ``warm`` object directly instead: the shard extends it in place and
+    :attr:`BatchReport.memoizer` *is* that object.  Answers are
+    identical either way (memo entries are pure); the only observable
+    difference is that the caller's table gains the batch's entries,
+    probe counts and recency without a copy or a merge step — exactly
+    what a long-lived incremental session or the serve daemon's shared
+    cache wants.  Ignored on the multi-process path.
     """
     items = [_as_pair(query) for query in queries]
     n_queries = len(items)
@@ -514,17 +506,13 @@ def analyze_batch(
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, max(1, len(reps))))
 
-    # The serial in-process fan-out (mirrors the branch order below:
-    # supervised first, then single-payload/jobs==1, then pool_map,
-    # then the single-CPU fallback).
+    # One shard (jobs is capped at the problem count) or one CPU runs
+    # in-process; a timeout needs a child it can kill, and a checkpoint
+    # records per-shard results, so either one forces supervision.
     serial = (
         checkpoint is None
         and shard_timeout is None
-        and (
-            jobs == 1
-            or len(reps) <= 1
-            or (pool_map is None and (os.cpu_count() or 1) < 2)
-        )
+        and (jobs == 1 or (os.cpu_count() or 1) < 2)
     )
     share = share_warm and serial
     opts = {
@@ -577,14 +565,21 @@ def analyze_batch(
         )
     quarantine: list = []
     watchdog_stats: list[AnalyzerStats] = []
-    if checkpoint is not None or shard_timeout is not None:
+    if serial:
+        # Hand each shard the stage-2 problem objects (shared, not
+        # pickled) so it skips rebuilding them.
+        prebuilt = dict(enumerate(rep_problems))
+        shard_outputs = [
+            _run_shard(payload + (prebuilt,)) for payload in payloads
+        ]
+    else:
         if checkpoint is not None and trace:
             raise ValueError(
                 "checkpointing cannot be combined with a trace sink "
                 "(event streams are not checkpointable)"
             )
-        # Imported here so the common path never touches the robust
-        # machinery (and so repro.robust stays import-light).
+        # Imported here so the in-process path never touches the
+        # robust machinery (and so repro.robust stays import-light).
         from repro.robust.checkpoint import BatchCheckpoint, fingerprint_batch
         from repro.robust.watchdog import run_supervised
 
@@ -612,27 +607,6 @@ def analyze_batch(
             max_workers=jobs,
         )
         shard_outputs = [output for group in groups for output in group]
-    elif len(payloads) <= 1 or jobs == 1:
-        prebuilt = dict(enumerate(rep_problems))
-        shard_outputs = [
-            _run_shard(payload + (prebuilt,)) for payload in payloads
-        ]
-    elif pool_map is not None:
-        shard_outputs = pool_map(payloads)
-    elif (os.cpu_count() or 1) < 2:
-        # One CPU: forked workers would timeshare the core and pay
-        # fork + IPC for nothing.  Run the same shard payloads
-        # in-process, in order — identical outputs, no pool tax — and
-        # hand each shard the stage-2 problem objects (shared, not
-        # pickled) to skip rebuilding them.
-        prebuilt = dict(enumerate(rep_problems))
-        shard_outputs = [
-            _run_shard(payload + (prebuilt,)) for payload in payloads
-        ]
-    else:
-        context = _pool_context()
-        with context.Pool(processes=len(payloads)) as pool:
-            shard_outputs = pool.map(_run_shard, payloads)
 
     # Stage 4: reduce.  Merge stats and memo tables; fan each
     # representative's answer back out to every query it stands for.
@@ -655,8 +629,9 @@ def analyze_batch(
 
     if trace:
         # Shard assignment is a deterministic function of the input
-        # (greedy on stage-2 costs) and pool.map preserves payload
-        # order, so this replay order is a pure function of the input.
+        # (greedy on stage-2 costs) and both paths return outputs in
+        # payload order, so this replay order is a pure function of the
+        # input.
         streams = [screen_events]
         streams.extend(events for _, _, _, events in shard_outputs)
         for event in merge_event_streams(streams):

@@ -707,11 +707,13 @@ def run_fuzz(
     """Run one differential-fuzzing campaign.
 
     ``cases`` overrides generation (corpus replay).  With ``jobs > 1``
-    the per-case checks are sharded round-robin over worker processes;
-    counters merge associatively in shard order, so every
+    the per-case checks are sharded round-robin over supervised worker
+    processes (:func:`repro.robust.watchdog.run_supervised`); a shard
+    whose worker dies on every attempt raises the watchdog's error.
+    Counters merge associatively in shard order, so every
     deterministic statistic is identical to the serial run.  The
     cross-shard engine check always runs in the parent (worker
-    processes are daemonic and may not fork their own pools).
+    processes are daemonic and may not start their own children).
     """
     config = config if config is not None else FuzzConfig()
     if make_analyzer is not None and config.jobs > 1:
@@ -797,7 +799,7 @@ def run_fuzz(
 def _run_sharded(
     config: FuzzConfig, cases: list[FuzzCase], registry: MetricsRegistry
 ) -> list[CaseOutcome]:
-    import multiprocessing
+    from repro.robust.watchdog import run_supervised
 
     jobs = min(config.jobs, len(cases))
     shards: list[list[dict]] = [[] for _ in range(jobs)]
@@ -810,12 +812,8 @@ def _run_sharded(
     payloads = [
         (shard, config.oracle_radius, config.e2e) for shard in shards if shard
     ]
-    if "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-    else:
-        context = multiprocessing.get_context()
-    with context.Pool(processes=len(payloads)) as pool:
-        shard_outputs = pool.map(_check_shard, payloads)
+    groups, _ = run_supervised(payloads, _check_shard, max_workers=jobs)
+    shard_outputs = [output for group in groups for output in group]
     row_by_position: dict[int, tuple] = {}
     for rows, registry_dict in shard_outputs:
         registry.merge(MetricsRegistry.from_dict(registry_dict))

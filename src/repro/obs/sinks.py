@@ -13,8 +13,9 @@ learn about query identity.
 
 Sharded runs collect events in per-worker :class:`CollectingSink`\\ s;
 :func:`merge_event_streams` renumbers their query ids in shard order,
-which is deterministic because the batch engine deals shards
-round-robin (the pool's scheduling never reorders the streams).
+which is deterministic because the batch engine assigns shards as a
+pure function of the input (worker scheduling never reorders the
+streams).
 """
 
 from __future__ import annotations

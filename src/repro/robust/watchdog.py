@@ -1,11 +1,13 @@
 """Shard watchdog: supervised worker processes with quarantine.
 
-The batch engine's plain ``multiprocessing.Pool`` path assumes workers
-are well-behaved: a worker that dies (OOM kill, segfaulting C
-extension, chaos injection) or never returns (pathological query with
-no budget) takes the whole batch down with it.  This module is the
-supervised alternative: each shard payload runs in its *own* child
-process watched over a pipe, with
+This is the one place that starts worker processes: every
+multi-process batch (the engine's shards, the fuzz harness's shards)
+runs here.  A plain ``multiprocessing.Pool`` assumes workers are
+well-behaved: a worker that dies (OOM kill, segfaulting C extension,
+chaos injection) blocks ``Pool.map`` forever, and one that never
+returns (pathological query with no budget) stalls the whole batch.
+Here each shard payload runs in its *own* child process watched over a
+pipe, with
 
 * a **per-shard timeout** — a shard that exceeds it is killed and
   counted, never waited on forever;
@@ -19,7 +21,9 @@ process watched over a pipe, with
   sinking the run.
 
 Supervision is deliberately engine-agnostic: payload structure is
-opaque, and the engine supplies ``split`` / ``fallback`` callbacks.
+opaque, and the engine supplies ``split`` / ``fallback`` callbacks; a
+caller without them (the fuzz harness) gets a ``RuntimeError`` once a
+shard has failed every attempt.
 Outputs come back as one *list* of outputs per payload (usually a
 singleton; a quarantined shard yields one output per case) so the
 caller's reduce step stays a flat fold in payload order — which keeps

@@ -14,13 +14,13 @@ caller, forever.  This package is that daemon plus its client:
   recency-tracked) backed by a persistent on-disk store with atomic
   writes, versioned invalidation and an LRU byte bound — plus
   single-flight coalescing of identical in-flight queries;
-* :mod:`repro.serve.pool` — a persistent process pool (crashed-worker
-  recycling) reusing the batch engine's sharding for heavy uncached
-  program analyses;
 * :mod:`repro.serve.server` — the asyncio daemon: per-connection
   sessions, request pipelining, bounded concurrency with explicit
   backpressure, per-query deadlines that degrade to a conservative
-  flagged verdict, and SIGTERM-triggered graceful drain;
+  flagged verdict, and SIGTERM-triggered graceful drain.  Every op,
+  whole-program ``analyze_program`` batches included, runs in a worker
+  thread on the cache's one live memoizer, so the daemon starts no
+  worker processes;
 * :mod:`repro.serve.client` — the unified pipelining synchronous
   client (``tcp://``, ``cluster://`` and ``stdio:`` endpoints behind
   one :class:`~repro.serve.client.Client`);
@@ -50,7 +50,6 @@ _EXPORTS = {
     "Client": "repro.serve.client",
     "ServeClient": "repro.serve.client",
     "ServeError": "repro.serve.client",
-    "WorkerPool": "repro.serve.pool",
     "DependenceServer": "repro.serve.server",
     "ServeConfig": "repro.serve.server",
     "HashRing": "repro.serve.router",

@@ -5,7 +5,9 @@ One process keeps the analyzer warm for every caller:
 * **per-connection sessions** — each TCP (or stdio) connection gets its
   own :class:`~repro.api.AnalysisSession`, but all sessions share the
   server's :class:`~repro.serve.cache.ServeCache` memoizer, so any
-  caller's work warms every later caller;
+  caller's work warms every later caller (whole-program
+  ``analyze_program`` batches run in their worker thread on that same
+  live memoizer);
 * **request pipelining** — a client may send many request lines without
   waiting; responses carry the request id and may return out of order;
 * **bounded concurrency with explicit backpressure** — analysis work
@@ -61,7 +63,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.robust.budget import REASON_DEADLINE
 from repro.serve import protocol
 from repro.serve.cache import DEFAULT_MAX_BYTES, ServeCache, SingleFlight
-from repro.serve.pool import WorkerPool
 from repro.serve.protocol import ErrorCode, ProtocolError, Request
 
 __all__ = ["ServeConfig", "DependenceServer"]
@@ -159,8 +160,6 @@ class ServeConfig:
     max_inflight: int = 8  # analysis worker threads
     queue_limit: int = 32  # admitted-but-waiting requests beyond that
     deadline_ms: float | None = None  # per-query budget (None: unbounded)
-    batch_threshold: int = 16  # program pairs at which the pool kicks in
-    pool_jobs: int | None = None  # worker processes (None: CPU count)
     improved: bool = True
     symmetry: bool = False
     fm_budget: int = 256
@@ -195,7 +194,6 @@ class DependenceServer:
             symmetry=self.config.symmetry,
             registry=self.registry,
         )
-        self.pool = WorkerPool(jobs=self.config.pool_jobs)
         self.flight = SingleFlight(registry=self.registry)
         self.fastlane = _WireFastLane()
         self.started = threading.Event()
@@ -329,7 +327,6 @@ class DependenceServer:
             self._spill_task.cancel()
             await asyncio.gather(self._spill_task, return_exceptions=True)
         self._executor.shutdown(wait=True)
-        self.pool.close()
         if self.cache.path is not None:
             self.cache.save()
         if self.config.spill_dir is not None:
@@ -766,23 +763,22 @@ class DependenceServer:
         )
         want_directions = bool(request.params.get("directions", True))
         queries = queries_from_program(program)
-        use_pool = len(queries) >= self.config.batch_threshold
 
         def work() -> dict:
-            # Warm-start from the shared memoizer (every shard works on
-            # its own copy); fold the batch's merged table back in.
+            # In this worker thread, on the live shared memoizer: the
+            # batch's probes, hits and inserts land in the cache itself
+            # (its counters and LRU stamps), with no copy or merge.
             report = analyze_batch(
                 queries,
-                jobs=self.pool.jobs if use_pool else 1,
+                jobs=1,
                 warm=self.cache.memoizer,
+                share_warm=True,
                 want_directions=want_directions,
                 improved=self.config.improved,
                 symmetry=self.config.symmetry,
                 fm_budget=self.config.fm_budget,
-                pool_map=self.pool.map_shards if use_pool else None,
                 budget=self.config.budget,
             )
-            self.cache.memoizer.merge_from(report.memoizer)
             session.stats.merge(report.stats)
             pairs = [
                 protocol.report_to_wire(
@@ -1031,7 +1027,6 @@ class DependenceServer:
                 "running": self._running,
                 "draining": self.draining,
                 "connections": self._sessions_open,
-                "pool_recycles": self.pool.recycles,
                 "fastlane_entries": len(self.fastlane),
             },
         }

@@ -1,4 +1,5 @@
-"""Test configuration: src/ importability and a per-test time ceiling.
+"""Test configuration: src/ importability, a per-test time ceiling and
+the ``two_cpus`` fixture.
 
 CI installs ``pytest-timeout`` (the ``dev`` extra) and passes
 ``--timeout`` explicitly.  Environments without the plugin still get a
@@ -18,6 +19,18 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Make ``os.cpu_count()`` report 2.
+
+    A one-CPU host runs ``analyze_batch(jobs > 1)`` in-process; under
+    this fixture it forks through the shard watchdog on every host, so
+    sharded-vs-serial tests really compare the two paths.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
 _FALLBACK_TIMEOUT_S = int(os.environ.get("REPRO_TEST_TIMEOUT_S", "300"))

@@ -161,6 +161,7 @@ class TestAnalyzeProgram:
         assert session.analyze(w, NEST, r, NEST).from_memo
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestShardedMetricsDeterminism:
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_counter_snapshot_reproducible_per_sharding(self, jobs):

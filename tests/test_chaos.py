@@ -263,7 +263,12 @@ def _expected_schedule(plan, n_queries):
 
 
 class TestChaosBatchEndToEnd:
-    def test_seeded_crash_storm_is_survived_and_accounted(self):
+    # Without a shard timeout the batch still forks through the
+    # watchdog, so a dead worker is retried and quarantined, not waited
+    # on forever.
+    @pytest.mark.usefixtures("two_cpus")
+    @pytest.mark.parametrize("shard_timeout", [30.0, None])
+    def test_seeded_crash_storm_is_survived_and_accounted(self, shard_timeout):
         queries = _queries()
         clean = analyze_batch(queries, jobs=_E2E_JOBS)
 
@@ -277,7 +282,7 @@ class TestChaosBatchEndToEnd:
         report = analyze_batch(
             queries,
             jobs=_E2E_JOBS,
-            shard_timeout=30.0,
+            shard_timeout=shard_timeout,
             shard_retries=_E2E_RETRIES,
         )
         FaultPlan.uninstall()

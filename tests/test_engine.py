@@ -38,6 +38,7 @@ def _shift_query(var="i", nest=None):
     )
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestDeterminism:
     def test_sharded_matches_serial_on_full_suite(self):
         """Acceptance gate: sharded == serial on every suite query."""
@@ -151,6 +152,7 @@ class TestWarmStart:
             analyze_batch([], warm=Memoizer(improved=False))
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestMergedArtifacts:
     def test_merged_memoizer_covers_every_dispatched_case(self):
         queries = _suite_queries(scale=0.1)

@@ -185,3 +185,17 @@ class TestReplaySharded:
             clones, FuzzConfig(jobs=2, shrink=False, cross_shard=False, e2e=False)
         )
         assert len(report.outcomes) == 6
+
+
+class TestShardWatchdog:
+    def test_worker_dead_on_every_attempt_raises(self):
+        # The shards run under the shard watchdog: a worker that dies on
+        # every attempt is an error (CLI exit 3), never a hung run.
+        from repro.robust.chaos import FaultPlan
+
+        FaultPlan(seed=1, crash_rate=1.0).install()
+        try:
+            with pytest.raises(RuntimeError, match="failed 2 attempts"):
+                run_fuzz(FuzzConfig(seed=0, iterations=4, jobs=2))
+        finally:
+            FaultPlan.uninstall()

@@ -40,6 +40,16 @@ def _poison_worker(payload):
     return [item * 2 for item in payload]
 
 
+def _crash_once_worker(payload):
+    """Die while the flag file exists, removing it first: the retry
+    in a fresh process succeeds."""
+    flag, items = payload
+    if os.path.exists(flag):
+        os.unlink(flag)
+        os._exit(13)
+    return [item * 2 for item in items]
+
+
 def _split(payload):
     return [(index, f"item-{item}", [item]) for index, item in enumerate(payload)]
 
@@ -70,6 +80,18 @@ class TestCrashContainment:
     def test_crash_without_quarantine_path_raises(self):
         with pytest.raises(RuntimeError, match="no quarantine path"):
             run_supervised([[1]], _crash_worker, attempts=1)
+
+    def test_crashed_worker_is_retried_in_a_fresh_process(self, tmp_path):
+        flag = tmp_path / "crash-once"
+        flag.write_text("1")
+        registry = MetricsRegistry()
+        groups, quarantine = run_supervised(
+            [(str(flag), [1, 2])], _crash_once_worker, registry=registry
+        )
+        assert groups == [[[2, 4]]]
+        assert quarantine == []
+        assert registry.get("robust.shard_crashes") == 1
+        assert registry.get("robust.shard_retries") == 1
 
     def test_poison_case_is_quarantined(self):
         registry = MetricsRegistry()

@@ -122,6 +122,20 @@ class TestBasicOps:
         assert result["pairs"][0]["dependent"] is True
         assert result["summary"]["queries"] == 1
 
+    def test_analyze_program_hits_reach_the_shared_cache(self, running):
+        """A repeated analyze_program probes the daemon's own tables:
+        its hits count in stats.cache and refresh the LRU stamps that a
+        bounded save() evicts by."""
+        table = running.server.cache.memoizer.with_bounds
+        with running.client() as client:
+            client.analyze_program(SOURCE)
+            stamps = dict(table.used)
+            client.analyze_program(SOURCE)
+            stats = client.stats()
+        assert stats["cache"]["with_bounds"]["hits"] > 0
+        assert stamps
+        assert all(table.used[key] > used for key, used in stamps.items())
+
     def test_stats_exposes_cache_and_requests(self, running):
         with running.client() as client:
             client.analyze(source=SOURCE, pair=0)
@@ -362,9 +376,9 @@ class TestDeadlineDegradation:
         assert degraded["directions"] == [["*"] * n_common]
 
     def test_real_program_batch_blows_deadline(self):
-        """No simulation: a whole-program batch heavy enough to engage
-        the process pool cannot beat a 1 ms budget, so every pair comes
-        back degraded (and flagged)."""
+        """No simulation: a whole-program batch this heavy cannot beat
+        a 1 ms budget, so every pair comes back degraded (and
+        flagged)."""
         body = "\n".join(
             f"    a[i + {k}][j] = a[i][j + {k}]" for k in range(6)
         )
@@ -376,7 +390,7 @@ class TestDeadlineDegradation:
             "end\n"
         )
         handle = _RunningServer(
-            ServeConfig(announce=False, deadline_ms=1.0, batch_threshold=1)
+            ServeConfig(announce=False, deadline_ms=1.0)
         )
         try:
             with handle.client(timeout=120.0) as client:
