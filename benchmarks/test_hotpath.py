@@ -1,7 +1,6 @@
-"""Benchmark: the flat-array query inner loop and byte-keyed memo.
+"""Benchmark: the query inner loop and byte-keyed memo.
 
-Three micro-costs govern warm serving and batch throughput after the
-flat-path rework:
+Three micro-costs govern warm serving and batch throughput:
 
 * **memo probe** — a warm with-bounds hit must be one native dict
   lookup on an interned byte key (no tuple construction, no bucket

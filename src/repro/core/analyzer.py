@@ -144,17 +144,11 @@ class DependenceAnalyzer:
         want_witness: bool = True,
         sink: TraceSink | None = None,
         budget: ResourceBudget | None = None,
-        use_flat: bool = True,
     ):
         self.memoizer = memoizer
         self.stats = stats if stats is not None else AnalyzerStats()
         self.eliminate_unused = eliminate_unused
         self.want_witness = want_witness
-        # Run the cascade on the array-backed FlatSystem representation
-        # (repro.system.flat).  False forces the object path — used by
-        # the flat/object equivalence property suite and as an escape
-        # hatch; int64 overflow falls back per query automatically.
-        self.use_flat = use_flat
         self.sink = sink if sink is not None else NULL_SINK
         # The resource budget (see repro.robust.budget); per-query
         # scopes are opened at the entry points and threaded explicitly
@@ -517,16 +511,25 @@ class DependenceAnalyzer:
         assert transformed is not None
         reduced_result = None
         decided_by = "refinement"
-        if options.dimension_by_dimension:
-            from repro.core.separable import is_separable, separable_directions
+        # Refinement runs up to 3^depth cascades: their per-test
+        # nanoseconds add up here and reach the stage timers once.
+        stage_ns: dict[str, int] = {}
+        try:
+            if options.dimension_by_dimension:
+                from repro.core.separable import is_separable, separable_directions
 
-            if is_separable(work):
-                reduced_result = separable_directions(self, work, qsink, scope)
-                decided_by = "separable"
-        if reduced_result is None:
-            reduced_result = _refine(
-                self, work, transformed, options, qsink, scope
-            )
+                if is_separable(work):
+                    reduced_result = separable_directions(
+                        self, work, qsink, scope, stage_ns
+                    )
+                    decided_by = "separable"
+            if reduced_result is None:
+                reduced_result = _refine(
+                    self, work, transformed, options, qsink, scope, stage_ns
+                )
+        finally:
+            for name, elapsed_ns in stage_ns.items():
+                self.stats.observe_stage_ns(name, elapsed_ns)
         result = DirectionResult(
             vectors=self._lift_vectors(
                 reduced_result.vectors, surviving, n_common_full, forced_dropped
@@ -727,11 +730,8 @@ class DependenceAnalyzer:
 
         transformed = outcome.transformed
         assert transformed is not None
-        system = transformed.flat if self.use_flat else None
-        if system is None:  # flat disabled, or int64 overflow fallback
-            system = transformed.system
         decision = self._run_cascade(
-            system, record=True, sink=qsink, scope=scope
+            transformed.system, record=True, sink=qsink, scope=scope
         )
         verdict = decision.result.verdict
         dependent = verdict in (Verdict.DEPENDENT, Verdict.UNKNOWN)
@@ -868,8 +868,8 @@ class DependenceAnalyzer:
         """Re-apply a cached factorization to this problem's bounds."""
         assert entry.x_offset is not None and entry.x_basis is not None
         t_names = tuple(f"t{k + 1}" for k in range(len(entry.x_basis)))
-        # Bounds transform lazily (flat-first) on cascade entry; a
-        # with-bounds memo hit right after this never transforms at all.
+        # Bounds transform lazily on cascade entry; a with-bounds memo
+        # hit right after this never transforms at all.
         transformed = TransformedSystem(
             t_names=t_names,
             x_offset=entry.x_offset,
@@ -886,6 +886,7 @@ class DependenceAnalyzer:
         record: bool,
         sink: TraceSink = NULL_SINK,
         scope: BudgetScope = NULL_SCOPE,
+        stage_ns: dict[str, int] | None = None,
     ) -> CascadeDecision:
         """Run SVPC -> Acyclic -> Loop Residue -> Fourier-Motzkin.
 
@@ -896,21 +897,21 @@ class DependenceAnalyzer:
         that cannot decide returns NOT_APPLICABLE, optionally carrying
         a simplified ``residual`` (and the witness-lifting
         ``completion``) the next member takes instead.
+
+        Each stage's wall time goes to the ``time.cascade.<test>``
+        timer, or, when ``stage_ns`` is given (a direction-refinement
+        sub-query), adds into it for the caller to observe once.
         """
         current = system
         completions = []
         result = None
-        # Stage timers: top-level queries (record=True) always observe;
-        # direction-refinement sub-queries (record=False) fan out up to
-        # 3^depth cascade runs per query, so their per-stage histogram
-        # updates are skipped unless a trace sink is attached — the
-        # refinement tests are still counted via record_direction_test.
-        observe = record or sink.enabled
         for test in self._cascade:
             scope.tick()
             result = test.run(current, sink, scope)
-            if observe:
+            if stage_ns is None:
                 self.stats.observe_stage_ns(test.name, result.elapsed_ns)
+            else:
+                stage_ns[test.name] = stage_ns.get(test.name, 0) + result.elapsed_ns
             if sink.enabled:
                 sink.emit(
                     CascadeStage(

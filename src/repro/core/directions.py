@@ -34,7 +34,6 @@ from repro.deptests.base import Verdict
 from repro.obs.events import DirectionNode
 from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.robust.budget import NULL_SCOPE, BudgetScope
-from repro.system.constraints import LinearConstraint
 from repro.system.depsystem import DependenceProblem, Direction
 from repro.system.transform import TransformedSystem
 
@@ -61,13 +60,16 @@ def refine_directions(
     options: DirectionOptions,
     sink: TraceSink = NULL_SINK,
     scope: BudgetScope = NULL_SCOPE,
+    stage_ns: dict[str, int] | None = None,
 ) -> DirectionResult:
     """Hierarchical direction-vector refinement over a transformed system.
 
     ``problem``/``transformed`` may be the unused-variable-reduced
     system; the returned vectors are over *its* common levels — the
     caller embeds them back into the original nest (dropped levels get
-    ``*``) via :func:`lift_vector`.
+    ``*``) via :func:`lift_vector`.  When ``stage_ns`` is given, each
+    cascade test's nanoseconds add into it instead of reaching the
+    analyzer's stage timers one sub-query at a time.
     """
     n_common = problem.n_common
 
@@ -86,7 +88,7 @@ def refine_directions(
         sink.emit(DirectionNode(vector=tuple(template), action="forced"))
 
     leaves: set[tuple[str, ...]] = set()
-    state = _RefineState(analyzer, problem, transformed, sink, scope)
+    state = _RefineState(analyzer, problem, transformed, sink, scope, stage_ns)
 
     def recurse(vector: list[str], next_refinable: int) -> None:
         verdict, exact = state.test(tuple(vector))
@@ -133,6 +135,7 @@ class _RefineState:
         transformed,
         sink: TraceSink = NULL_SINK,
         scope: BudgetScope = NULL_SCOPE,
+        stage_ns: dict[str, int] | None = None,
     ):
         self.analyzer = analyzer
         self.problem = problem
@@ -141,7 +144,7 @@ class _RefineState:
         self.scope = scope
         self.tests = 0
         self.exact = True
-        self.use_flat = getattr(analyzer, "use_flat", False)
+        self.stage_ns = stage_ns
         self._cache: dict[tuple[str, ...], tuple[Verdict, bool]] = {}
 
     def test(self, vector: tuple[str, ...]) -> tuple[Verdict, bool]:
@@ -153,19 +156,15 @@ class _RefineState:
             if self.sink.enabled:
                 self.sink.emit(DirectionNode(vector=vector, action="cached"))
             return self._cache[vector]
-        system = None
-        if self.use_flat:
-            rows: list = []
-            for level, direction in enumerate(vector):
-                rows.extend(self.problem.direction_rows(level, direction))
-            system = self.transformed.with_extra_flat(rows)
-        if system is None:  # object path (flat off, or int64 overflow)
-            extra: list[LinearConstraint] = []
-            for level, direction in enumerate(vector):
-                extra.extend(self.problem.direction_constraints(level, direction))
-            system = self.transformed.with_extra_constraints(extra)
+        rows: list = []
+        for level, direction in enumerate(vector):
+            rows.extend(self.problem.direction_rows(level, direction))
         decision = self.analyzer._run_cascade(
-            system, record=False, sink=self.sink, scope=self.scope
+            self.transformed.with_rows(rows),
+            record=False,
+            sink=self.sink,
+            scope=self.scope,
+            stage_ns=self.stage_ns,
         )
         result = decision.result
         self.tests += 1

@@ -102,13 +102,15 @@ def separable_directions(
     problem: DependenceProblem,
     sink: TraceSink = NULL_SINK,
     scope: BudgetScope = NULL_SCOPE,
+    stage_ns: dict[str, int] | None = None,
 ) -> DirectionResult:
     """Per-level direction sets, combined as a Cartesian product.
 
     Levels with no subscript equation get their feasible directions
     straight from the bounds (no test at all); constrained levels cost
     at most three small tests each.  Test invocations are recorded in
-    the analyzer's direction statistics, as in hierarchical refinement.
+    the analyzer's direction statistics, as in hierarchical refinement,
+    and their per-test nanoseconds add into ``stage_ns`` when given.
     """
     for coeffs, rhs in problem.equations:
         if all(c == 0 for c in coeffs) and rhs != 0:
@@ -130,18 +132,13 @@ def separable_directions(
                 vectors=frozenset(), n_common=problem.n_common
             )
         feasible: set[str] = set()
-        use_flat = getattr(analyzer, "use_flat", False)
         for direction in Direction.ALL:
-            system = None
-            if use_flat:
-                system = outcome.transformed.with_extra_flat(
-                    sub.direction_rows(0, direction)
-                )
-            if system is None:
-                extra = sub.direction_constraints(0, direction)
-                system = outcome.transformed.with_extra_constraints(extra)
             decision = analyzer._run_cascade(
-                system, record=False, sink=sink, scope=scope
+                outcome.transformed.with_rows(sub.direction_rows(0, direction)),
+                record=False,
+                sink=sink,
+                scope=scope,
+                stage_ns=stage_ns,
             )
             tests += 1
             independent = decision.result.verdict is Verdict.INDEPENDENT

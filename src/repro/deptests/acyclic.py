@@ -189,20 +189,14 @@ class AcyclicTest(CascadeTest):
 
             var, positive = candidate
             eliminated.add(var)
-            if positive:
-                extreme = intervals[var].lo
-                if extreme == NEG_INF:
-                    removed = [c for c in constraints if c.coeffs[var] != 0]
-                    constraints = [c for c in constraints if c.coeffs[var] == 0]
-                    result.steps.append((_DEFER_LOW, var, removed))
-                    continue
-            else:
-                extreme = intervals[var].hi
-                if extreme == POS_INF:
-                    removed = [c for c in constraints if c.coeffs[var] != 0]
-                    constraints = [c for c in constraints if c.coeffs[var] == 0]
-                    result.steps.append((_DEFER_HIGH, var, removed))
-                    continue
+            extreme = intervals[var].lo if positive else intervals[var].hi
+            if extreme in (NEG_INF, POS_INF):
+                bit = 1 << var
+                removed = [c for c in constraints if c.mask & bit]
+                constraints = [c for c in constraints if not c.mask & bit]
+                kind = _DEFER_LOW if positive else _DEFER_HIGH
+                result.steps.append((kind, var, removed))
+                continue
             value = int(extreme)
             constraints = [c.substitute(var, value) for c in constraints]
             result.steps.append((_PIN, var, value))

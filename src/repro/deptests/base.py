@@ -17,17 +17,13 @@ A NOT_APPLICABLE result may still carry work forward: the Acyclic test
 hands its partially-eliminated ``residual`` system and a ``completion``
 callback (lifting a residual witness over the eliminated variables) to
 whichever later test finishes the job.
-
-The pre-observability entry point ``test.decide(system)`` survives as
-a deprecation shim on :class:`CascadeTest`.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro.obs.sinks import NULL_SINK, TraceSink
@@ -131,16 +127,6 @@ class CascadeTest:
         result.elapsed_ns = time.perf_counter_ns() - start
         return result
 
-    def decide(self, system: ConstraintSystem) -> TestResult:
-        """Deprecated pre-observability entry point; use :meth:`run`."""
-        warnings.warn(
-            f"{type(self).__name__}.decide() is deprecated; "
-            "use run(system, sink=None)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(system)
-
 
 class DependenceTest(Protocol):
     """Protocol implemented by every test in the cascade."""
@@ -159,11 +145,3 @@ class DependenceTest(Protocol):
     ) -> TestResult:
         """Decide the system, or report NOT_APPLICABLE."""
         ...
-
-
-@dataclass
-class CascadeTrace:
-    """Diagnostic record of one cascade run (which tests were consulted)."""
-
-    consulted: list[str] = field(default_factory=list)
-    decided_by: str | None = None

@@ -95,7 +95,7 @@ class FourierMotzkinTest(CascadeTest):
             return Verdict.INDEPENDENT, None
 
         values: dict[int, int] = {}
-        assigned_order: list[int] = []
+        assigned = 0  # mask of the variables already given values
         for step in reversed(eliminations):
             lo, hi = self._range(step, values)
             int_lo = None if lo is None else _ceil(lo)
@@ -103,7 +103,7 @@ class FourierMotzkinTest(CascadeTest):
             if int_lo is not None and int_hi is not None and int_lo > int_hi:
                 # An empty integer range needs both ends finite; an
                 # unbounded end always holds integers.
-                if self._bounds_are_constant(step, assigned_order):
+                if self._bounds_are_constant(step, assigned):
                     # No integer in a constant range: exactly independent.
                     if sink.enabled:
                         sink.emit(
@@ -127,7 +127,7 @@ class FourierMotzkinTest(CascadeTest):
                     FmSample(var=step.var, outcome="integer_picked", value=mid)
                 )
             values[step.var] = mid
-            assigned_order.append(step.var)
+            assigned |= 1 << step.var
 
         witness = tuple(values.get(v, 0) for v in range(n_vars))
         return Verdict.DEPENDENT, witness
@@ -151,9 +151,17 @@ class FourierMotzkinTest(CascadeTest):
             scope.tick()
             var = self._pick_variable(current, remaining)
             remaining.discard(var)
-            lowers = [c for c in current if c.coeffs[var] < 0]
-            uppers = [c for c in current if c.coeffs[var] > 0]
-            others = [c for c in current if c.coeffs[var] == 0]
+            bit = 1 << var
+            lowers: list[LinearConstraint] = []
+            uppers: list[LinearConstraint] = []
+            others: list[LinearConstraint] = []
+            for c in current:
+                if not c.mask & bit:
+                    others.append(c)
+                elif c.coeffs[var] < 0:
+                    lowers.append(c)
+                else:
+                    uppers.append(c)
             eliminations.append(_Elimination(var, lowers, uppers))
             combos: list[LinearConstraint] = []
             for low in lowers:
@@ -188,8 +196,14 @@ class FourierMotzkinTest(CascadeTest):
         best_var = min(remaining)
         best_cost = None
         for var in sorted(remaining):
-            p = sum(1 for c in constraints if c.coeffs[var] < 0)
-            q = sum(1 for c in constraints if c.coeffs[var] > 0)
+            bit = 1 << var
+            p = q = 0
+            for c in constraints:
+                if c.mask & bit:
+                    if c.coeffs[var] < 0:
+                        p += 1
+                    else:
+                        q += 1
             cost = p * q - (p + q)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
@@ -226,14 +240,13 @@ class FourierMotzkinTest(CascadeTest):
         return lo, hi
 
     @staticmethod
-    def _bounds_are_constant(step: _Elimination, assigned: list[int]) -> bool:
-        """True if no already-assigned variable occurs in the step's bounds."""
-        assigned_set = set(assigned)
-        for con in step.lowers + step.uppers:
-            for j in con.variables():
-                if j != step.var and j in assigned_set:
-                    return False
-        return True
+    def _bounds_are_constant(step: _Elimination, assigned: int) -> bool:
+        """True if no already-assigned variable occurs in the step's bounds.
+
+        ``assigned`` is a mask of the variables already given values.
+        """
+        others = assigned & ~(1 << step.var)
+        return not any(con.mask & others for con in step.lowers + step.uppers)
 
     def _branch(
         self,
@@ -299,7 +312,7 @@ def _lower_bound_constraint(n_vars: int, var: int, bound: int) -> LinearConstrai
 
 def _dedupe(constraints: list[LinearConstraint]) -> list[LinearConstraint]:
     """Drop trivial constraints and keep the tightest bound per coeff row."""
-    best: dict[tuple[int, ...], int] = {}
+    best: dict[tuple[int, ...], LinearConstraint] = {}
     contradictions: list[LinearConstraint] = []
     for con in constraints:
         if con.is_trivial:
@@ -308,10 +321,9 @@ def _dedupe(constraints: list[LinearConstraint]) -> list[LinearConstraint]:
             contradictions.append(con)
             continue
         prev = best.get(con.coeffs)
-        if prev is None or con.bound < prev:
-            best[con.coeffs] = con.bound
-    out = [LinearConstraint(coeffs, bound) for coeffs, bound in best.items()]
-    return contradictions + out
+        if prev is None or con.bound < prev.bound:
+            best[con.coeffs] = con
+    return contradictions + list(best.values())
 
 
 def _ceil(value: Fraction) -> int:

@@ -55,8 +55,16 @@ def save_case(case: FuzzCase, directory: str | Path, note: str = "") -> Path:
 
 
 def load_case(path: str | Path) -> FuzzCase:
-    """Read one corpus file back into a :class:`FuzzCase`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read one corpus file back into a :class:`FuzzCase`.
+
+    Raises ValueError, naming the file, when it holds no ``case``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not JSON ({err})") from None
+    if not isinstance(payload, dict) or "case" not in payload:
+        raise ValueError(f"{path}: not a fuzz corpus case (no 'case' field)")
     schema = payload.get("schema", 0)
     if schema > SCHEMA_VERSION:
         raise ValueError(

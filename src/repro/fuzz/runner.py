@@ -13,7 +13,8 @@ Two modes:
 
 Exit status 0 when every check passed, 1 when any discrepancy was
 found (the report, and any shrunk counterexamples, are printed either
-way).
+way), 2 when a replayed directory holds a JSON file that is not a
+corpus case.
 """
 
 from __future__ import annotations
@@ -145,7 +146,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.replay is not None:
         from repro.fuzz.corpus import load_corpus
 
-        cases = load_corpus(args.replay)
+        try:
+            cases = load_corpus(args.replay)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         if tiers != TIERS:
             cases = [case for case in cases if case.tier in tiers]
         if not cases:

@@ -11,6 +11,13 @@ are gcd-normalized on construction: dividing through by the coefficient
 gcd and *flooring* the bound is an exact tightening for integer
 solutions (e.g. ``2t <= 5`` becomes ``t <= 2``).
 
+Each constraint computes its *support* once, at construction: ``mask``
+has bit ``i`` set iff ``coeffs[i] != 0``.  Every structure query — which
+variables occur, how many, whether a row is trivial or a contradiction
+— reads the mask instead of rescanning the coefficients, and so do the
+tests' eliminations.  Rows hold Python ints, so no coefficient can
+overflow however far elimination grows it.
+
 A :class:`ConstraintSystem` is a named collection of constraints over a
 shared variable space, with the bookkeeping the tests need: which
 variables occur, per-constraint variable counts, substitution of a
@@ -19,12 +26,20 @@ variable by a constant, and single-variable interval extraction.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.linalg.gcdext import floor_div, gcd_all
+from repro.linalg.gcdext import floor_div
 
-__all__ = ["LinearConstraint", "ConstraintSystem", "Interval", "NEG_INF", "POS_INF"]
+__all__ = [
+    "LinearConstraint",
+    "ConstraintSystem",
+    "Interval",
+    "NEG_INF",
+    "POS_INF",
+    "mask_bits",
+]
 
 # Sentinels for unbounded interval ends.  Using None-free sentinels keeps
 # comparisons simple: any int compares against these via the helpers below.
@@ -32,19 +47,43 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of a support mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True)
 class LinearConstraint:
-    """An immutable, gcd-normalized inequality ``coeffs . t <= bound``."""
+    """An immutable, gcd-normalized inequality ``coeffs . t <= bound``.
+
+    ``mask`` is derived from ``coeffs`` on construction; equality,
+    hashing and the repr see only ``(coeffs, bound)``.
+    """
 
     coeffs: tuple[int, ...]
     bound: int
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mask = 0
+        bit = 1
+        for c in self.coeffs:
+            if c:
+                mask |= bit
+            bit <<= 1
+        object.__setattr__(self, "mask", mask)
 
     @staticmethod
     def make(coeffs: Sequence[int], bound: int) -> "LinearConstraint":
         """Build a constraint, normalizing by the coefficient gcd."""
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         bound = int(bound)
-        g = gcd_all(coeffs)
+        g = math.gcd(*coeffs)
         if g > 1:
             coeffs = tuple(c // g for c in coeffs)
             bound = floor_div(bound, g)
@@ -54,29 +93,29 @@ class LinearConstraint:
 
     def variables(self) -> tuple[int, ...]:
         """Indices of variables with non-zero coefficients."""
-        return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
+        return mask_bits(self.mask)
 
     @property
     def num_vars_used(self) -> int:
-        return sum(1 for c in self.coeffs if c != 0)
+        return self.mask.bit_count()
 
     @property
     def is_trivial(self) -> bool:
         """All-zero coefficients and a satisfiable bound (``0 <= b, b >= 0``)."""
-        return self.num_vars_used == 0 and self.bound >= 0
+        return not self.mask and self.bound >= 0
 
     @property
     def is_contradiction(self) -> bool:
         """All-zero coefficients and an unsatisfiable bound (``0 <= b, b < 0``)."""
-        return self.num_vars_used == 0 and self.bound < 0
+        return not self.mask and self.bound < 0
 
     # -- transformations -----------------------------------------------------
 
     def substitute(self, var: int, value: int) -> "LinearConstraint":
         """Pin ``t[var] = value``, folding its term into the bound."""
-        c = self.coeffs[var]
-        if c == 0:
+        if not self.mask >> var & 1:
             return self
+        c = self.coeffs[var]
         coeffs = list(self.coeffs)
         coeffs[var] = 0
         return LinearConstraint.make(coeffs, self.bound - c * value)
@@ -155,10 +194,10 @@ class ConstraintSystem:
     # -- queries --------------------------------------------------------------
 
     def used_variables(self) -> set[int]:
-        used: set[int] = set()
+        used = 0
         for c in self.constraints:
-            used.update(c.variables())
-        return used
+            used |= c.mask
+        return set(mask_bits(used))
 
     def max_vars_per_constraint(self) -> int:
         return max((c.num_vars_used for c in self.constraints), default=0)
@@ -179,10 +218,10 @@ class ConstraintSystem:
         """
         intervals = [Interval() for _ in range(self.n_vars)]
         for c in self.constraints:
-            used = c.variables()
-            if len(used) != 1:
+            mask = c.mask
+            if not mask or mask & (mask - 1):
                 continue
-            (var,) = used
+            var = mask.bit_length() - 1
             a = c.coeffs[var]
             # After normalization |a| may still exceed 1 only if the bound
             # made make() keep it; handle the general a*t <= b exactly.

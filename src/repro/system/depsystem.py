@@ -23,7 +23,7 @@ from repro.ir.affine import AffineExpr
 from repro.ir.arrays import ArrayRef
 from repro.ir.loops import LoopNest
 from repro.ir.program import AccessSite
-from repro.system.constraints import ConstraintSystem, LinearConstraint
+from repro.system.constraints import ConstraintSystem, LinearConstraint, mask_bits
 
 __all__ = [
     "DependenceProblem",
@@ -110,45 +110,15 @@ class DependenceProblem:
 
     # -- direction and distance ------------------------------------------------
 
-    def direction_constraints(
-        self, level: int, relation: str
-    ) -> list[LinearConstraint]:
-        """Constraints over x expressing ``i_level relation i'_level``.
-
-        ``<`` means ``i < i'`` (i.e. ``i - i' <= -1``), ``=`` both
-        ``i - i' <= 0`` and ``i' - i <= 0``, ``>`` means ``i' - i <= -1``.
-        ``*`` adds nothing.
-        """
-        if relation == Direction.ANY:
-            return []
-        if level >= self.n_common:
-            raise IndexError(f"level {level} beyond common depth {self.n_common}")
-        i1, i2 = self.var1(level), self.var2(level)
-        coeffs = [0] * self.n_vars
-
-        def make(ci1: int, ci2: int, bound: int) -> LinearConstraint:
-            row = list(coeffs)
-            row[i1], row[i2] = ci1, ci2
-            return LinearConstraint.make(row, bound)
-
-        if relation == Direction.LT:
-            return [make(1, -1, -1)]
-        if relation == Direction.GT:
-            return [make(-1, 1, -1)]
-        if relation == Direction.EQ:
-            return [make(1, -1, 0), make(-1, 1, 0)]
-        raise ValueError(f"bad direction {relation!r}")
-
     def direction_rows(
         self, level: int, relation: str
     ) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-        """Sparse form of :meth:`direction_constraints` for the flat path.
+        """Rows over x expressing ``i_level relation i'_level``.
 
-        Each row is ``(((var, coeff), ...), bound)`` over the x
-        variables.  The rows have unit coefficients, so they are
-        already gcd-normalized — transforming and appending them to a
-        :class:`~repro.system.flat.FlatSystem` produces exactly the
-        constraints :meth:`direction_constraints` would.
+        ``<`` means ``i < i'`` (i.e. ``i - i' <= -1``), ``=`` both
+        ``i - i' <= 0`` and ``i' - i <= 0``, ``>`` means ``i' - i <= -1``.
+        ``*`` adds nothing.  Each row is ``(((var, coeff), ...), bound)``,
+        the sparse form :meth:`TransformedSystem.rows` rewrites into t.
         """
         if relation == Direction.ANY:
             return []
@@ -260,12 +230,13 @@ class DependenceProblem:
         new_bounds = ConstraintSystem(new_names)
         # Bound constraints come in nest1-then-nest2 order; emit the
         # swapped problem's in its own nest order for key stability.
+        nest1_mask = (1 << self.n1) - 1
+        nest2_mask = ((1 << self.n2) - 1) << self.n1
         group1, group2, rest = [], [], []
         for c in self.bounds.constraints:
-            used = c.variables()
-            if any(v < self.n1 for v in used):
+            if c.mask & nest1_mask:
                 group1.append(c)
-            elif any(self.n1 <= v < self.n1 + self.n2 for v in used):
+            elif c.mask & nest2_mask:
                 group2.append(c)
             else:
                 rest.append(c)
@@ -297,25 +268,21 @@ class DependenceProblem:
         common level it intends to refine, plus everything their bounds
         reference — see :meth:`eliminate_unused`).
         """
-        used = {
-            j
-            for coeffs, _ in self.equations
-            for j, c in enumerate(coeffs)
-            if c != 0
-        }
-        if extra:
-            used |= extra
+        used = 0
+        for coeffs, _ in self.equations:
+            for j, c in enumerate(coeffs):
+                if c:
+                    used |= 1 << j
+        for v in extra or ():
+            used |= 1 << v
         changed = True
         while changed:
             changed = False
             for con in self.bounds.constraints:
-                vars_in = con.variables()
-                if any(v in used for v in vars_in):
-                    for v in vars_in:
-                        if v not in used:
-                            used.add(v)
-                            changed = True
-        return used
+                if con.mask & used and con.mask & ~used:
+                    used |= con.mask
+                    changed = True
+        return set(mask_bits(used))
 
     def eliminate_unused(
         self, extra_keep: set[int] | None = None
@@ -350,7 +317,7 @@ class DependenceProblem:
             return reduced, list(surviving)
         used = self.used_variable_closure(extra_keep)
         keep = sorted(used)
-        remap = {old: new for new, old in enumerate(keep)}
+        unused_mask = ~sum(1 << v for v in keep)
 
         def project(coeffs: tuple[int, ...]) -> tuple[int, ...]:
             return tuple(coeffs[old] for old in keep)
@@ -359,7 +326,7 @@ class DependenceProblem:
         new_equations = [(project(c), rhs) for c, rhs in self.equations]
         new_bounds = ConstraintSystem(new_names)
         for con in self.bounds.constraints:
-            if all(v in used for v in con.variables()):
+            if not con.mask & unused_mask:
                 new_bounds.add_constraint(
                     LinearConstraint(project(con.coeffs), con.bound)
                 )

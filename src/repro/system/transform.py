@@ -19,19 +19,19 @@ the integers via the unimodular/echelon factorization ``U @ A == D``:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.linalg.echelon import echelon_factor
 from repro.linalg.matrix import IntMatrix
 from repro.system.constraints import ConstraintSystem, LinearConstraint
 from repro.system.depsystem import DependenceProblem
-from repro.system.flat import FlatSystem
 
 __all__ = ["TransformedSystem", "GcdOutcome", "gcd_transform"]
 
-# Sentinel: the flat build hit int64 overflow; use the object path.
-_OVERFLOW = object()
+# A sparse x-space row: ``(((var, coeff), ...), bound)`` meaning
+# ``sum coeff * x[var] <= bound`` (see DependenceProblem.direction_rows).
+SparseRow = tuple[tuple[tuple[int, int], ...], int]
 
 
 class TransformedSystem:
@@ -40,21 +40,19 @@ class TransformedSystem:
     ``x_offset`` and ``x_basis`` encode the general integer solution of
     the equalities:  ``x[j] = x_offset[j] + sum_f t[f] * x_basis[f][j]``.
 
-    The t-space system exists in two forms, both built lazily from the
-    problem's bounds on first access: ``flat`` (the array-backed
-    :class:`FlatSystem` the cascade runs on) and ``system`` (the
-    :class:`ConstraintSystem` object view, kept for tests, serde and the
-    int64-overflow fallback).  Constructing the transform itself costs
-    nothing — a memo hit that never reaches the cascade never transforms
-    a single bound.
+    ``system`` is the t-space :class:`ConstraintSystem` the cascade runs
+    on, built from the problem's bounds on first access and cached.
+    Constructing the transform itself costs nothing — a memo hit that
+    never reaches the cascade never transforms a single bound.  One row
+    builder, :meth:`rows`, serves both the bounds and every direction
+    refinement's extra rows.
     """
 
-    __slots__ = ("t_names", "x_offset", "x_basis", "problem", "_system", "_flat")
+    __slots__ = ("t_names", "x_offset", "x_basis", "problem", "_system")
 
     def __init__(
         self,
         t_names: tuple[str, ...],
-        system: ConstraintSystem | None = None,
         x_offset: tuple[int, ...] = (),
         x_basis: tuple[tuple[int, ...], ...] = (),
         problem: DependenceProblem | None = None,
@@ -63,61 +61,48 @@ class TransformedSystem:
         self.x_offset = x_offset
         self.x_basis = x_basis
         self.problem = problem
-        self._system = system
-        self._flat: FlatSystem | object | None = None
+        self._system: ConstraintSystem | None = None
 
     @property
     def n_free(self) -> int:
         return len(self.t_names)
 
     @property
-    def flat(self) -> FlatSystem | None:
-        """The transformed bounds as a :class:`FlatSystem` (None on overflow)."""
-        if self._flat is None:
-            try:
-                self._flat = self._build_flat()
-            except OverflowError:
-                self._flat = _OVERFLOW
-        return None if self._flat is _OVERFLOW else self._flat
-
-    @property
     def system(self) -> ConstraintSystem:
-        """Object view of the transformed bounds (materialized on demand)."""
+        """The transformed bounds (built on first access)."""
         if self._system is None:
-            flat = self.flat
-            if flat is not None:
-                self._system = ConstraintSystem(
-                    self.t_names, list(flat.constraints)
-                )
-            else:
-                built = ConstraintSystem(self.t_names)
-                for con in self.problem.bounds.constraints:
-                    built.add_constraint(self.transform_constraint(con))
-                self._system = built
+            self._system = ConstraintSystem(
+                self.t_names,
+                self.rows(
+                    (tuple((j, con.coeffs[j]) for j in con.variables()), con.bound)
+                    for con in self.problem.bounds.constraints
+                ),
+            )
         return self._system
 
-    def _build_flat(self) -> FlatSystem:
-        flat = FlatSystem(self.t_names)
+    def rows(self, x_rows: Iterable[SparseRow]) -> list[LinearConstraint]:
+        """Rewrite sparse x-space rows as gcd-normalized t-space rows."""
         offset = self.x_offset
         basis = self.x_basis
         n_free = len(basis)
-        for con in self.problem.bounds.constraints:
+        out = []
+        for entries, bound in x_rows:
             row = [0] * n_free
             const = 0
-            for j, a in enumerate(con.coeffs):
-                if a:
-                    const += a * offset[j]
-                    for f in range(n_free):
-                        b = basis[f][j]
-                        if b:
-                            row[f] += a * b
-            flat.add(row, con.bound - const)
-        return flat
+            for j, a in entries:
+                const += a * offset[j]
+                for f in range(n_free):
+                    b = basis[f][j]
+                    if b:
+                        row[f] += a * b
+            out.append(LinearConstraint.make(row, bound - const))
+        return out
 
-    def transform_constraint(self, constraint: LinearConstraint) -> LinearConstraint:
-        """Rewrite an x-space constraint into t-space."""
-        coeffs_t, const = self.transform_expr(constraint.coeffs, 0)
-        return LinearConstraint.make(coeffs_t, constraint.bound - const)
+    def with_rows(self, x_rows: Iterable[SparseRow]) -> ConstraintSystem:
+        """The t-system plus transformed x-space rows (direction constraints)."""
+        return ConstraintSystem(
+            self.t_names, self.system.constraints + self.rows(x_rows)
+        )
 
     def transform_expr(
         self, coeffs_x: Sequence[int], const: int
@@ -139,47 +124,6 @@ class TransformedSystem:
             off + sum(tv * row[j] for tv, row in zip(t, self.x_basis))
             for j, off in enumerate(self.x_offset)
         ]
-
-    def with_extra_constraints(
-        self, extra: Sequence[LinearConstraint]
-    ) -> ConstraintSystem:
-        """The t-system plus transformed direction constraints."""
-        system = self.system.copy()
-        for con in extra:
-            system.add_constraint(self.transform_constraint(con))
-        return system
-
-    def with_extra_flat(
-        self, extra_rows: Sequence[tuple[tuple[tuple[int, int], ...], int]]
-    ) -> FlatSystem | None:
-        """The flat t-system plus transformed sparse x-space rows.
-
-        ``extra_rows`` are ``((var, coeff), ...), bound`` pairs (see
-        :meth:`DependenceProblem.direction_rows`).  Returns None when
-        the flat representation overflowed int64 — callers fall back to
-        :meth:`with_extra_constraints`.
-        """
-        base = self.flat
-        if base is None:
-            return None
-        out = base.copy()
-        offset = self.x_offset
-        basis = self.x_basis
-        n_free = len(basis)
-        try:
-            for entries, bound in extra_rows:
-                row = [0] * n_free
-                const = 0
-                for j, a in entries:
-                    const += a * offset[j]
-                    for f in range(n_free):
-                        b = basis[f][j]
-                        if b:
-                            row[f] += a * b
-                out.add(row, bound - const)
-        except OverflowError:
-            return None
-        return out
 
 
 @dataclass
@@ -252,7 +196,7 @@ def _build_transformed(
     x_basis = [tuple(u.row(k)) for k in range(rank, n)]
     t_names = tuple(f"t{k + 1}" for k in range(len(x_basis)))
 
-    # The t-space bound system is built lazily (flat first) on access.
+    # The t-space bound system is built lazily on access.
     transformed = TransformedSystem(
         t_names=t_names,
         x_offset=tuple(x_offset),

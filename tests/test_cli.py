@@ -1,5 +1,7 @@
 """Tests for the command-line interfaces."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main as repro_main
@@ -302,3 +304,20 @@ class TestFuzzCommand:
         out = capsys.readouterr().out
         assert "replayed 3 corpus case(s)" in out
         assert "discrepancies: 0" in out
+
+    def test_replay_committed_corpus(self, capsys):
+        corpus = pathlib.Path(__file__).parent / "corpus"
+        assert repro_main(["fuzz", "--replay", str(corpus)]) == 0
+        out = capsys.readouterr().out
+        assert "replayed 10 corpus case(s)" in out
+        assert "discrepancies: 0" in out
+
+    def test_replay_rejects_stray_json(self, tmp_path, capsys):
+        from repro.fuzz.corpus import save_case
+        from repro.fuzz.generator import generate_case
+
+        save_case(generate_case(0, 0, "constant"), tmp_path)
+        (tmp_path / "notes.json").write_text('{"digests": []}\n')
+        assert repro_main(["fuzz", "--replay", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "notes.json" in err and "not a fuzz corpus case" in err

@@ -1,5 +1,6 @@
 """Integration tests for the experiment harness (scaled-down runs)."""
 
+import pytest
 
 from repro.harness.experiments import (
     collect_table1,
@@ -97,6 +98,60 @@ class TestDirectionTables:
         plain = run_table5(scale=0.05)
         symbolic = run_table7(scale=0.05)
         assert symbolic.extra["total_tests"] > plain.extra["total_tests"]
+
+
+# Full-scale per-test column totals (SVPC, Acyclic, Loop Residue,
+# Fourier-Motzkin) and each test's (independent, dependent) split.
+DIRECTION_TOTALS = {
+    "table4": (
+        run_table4,
+        [1_276, 2_762, 1_065, 884],
+        {
+            "svpc": (667, 609),
+            "acyclic": (1_539, 1_223),
+            "loop_residue": (5, 1_060),
+            "fourier_motzkin": (296, 588),
+        },
+    ),
+    "table5": (
+        run_table5,
+        [274, 90, 44, 257],
+        {
+            "svpc": (87, 187),
+            "acyclic": (6, 84),
+            "loop_residue": (2, 42),
+            "fourier_motzkin": (90, 167),
+        },
+    ),
+    "table7": (
+        run_table7,
+        [316, 130, 51, 257],
+        {
+            "svpc": (102, 214),
+            "acyclic": (6, 124),
+            "loop_residue": (3, 48),
+            "fourier_motzkin": (90, 167),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTION_TOTALS))
+def test_direction_table_full_scale_totals(name):
+    run, columns, splits = DIRECTION_TOTALS[name]
+    result = run()
+    totals = [sum(row[k] for row in result.rows) for k in range(2, 6)]
+    assert totals == columns
+    assert result.extra["total_tests"] == sum(columns)
+    outcomes = {
+        test: (
+            result.extra["outcomes"].get((test, "independent"), 0),
+            result.extra["outcomes"].get((test, "dependent"), 0),
+        )
+        for test in splits
+    }
+    assert outcomes == splits
+    assert sum(result.extra["outcomes"].values()) == sum(columns)
 
 
 class TestOutcomes:

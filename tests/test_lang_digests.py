@@ -3,7 +3,7 @@
 Each input below is digested over its token stream (or the
 ``LexError`` text) and over ``repr(parse(...))`` (or the error class
 and message), and the digests are pinned in
-``tests/corpus/lang_digests.json``.  The pinned file was recorded with
+``tests/goldens/lang_digests.json``.  The pinned file was recorded with
 the character-by-character lexer and the ``_accept``-chain parser that
 the regex lexer and the direct-index parser replaced, so a change in
 any token's kind, text, line or column, in any AST node, or in any
@@ -34,7 +34,7 @@ from repro.perfect import load_suite
 from repro.perfect.source_gen import queries_to_source
 
 ROOT = pathlib.Path(__file__).parent.parent
-DIGESTS = ROOT / "tests" / "corpus" / "lang_digests.json"
+DIGESTS = ROOT / "tests" / "goldens" / "lang_digests.json"
 MUTATIONS = 40
 
 HAND_CASES = {

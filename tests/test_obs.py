@@ -365,6 +365,25 @@ class TestGoldenTraces:
         hist = analyzer.stats.registry.histogram("time.cascade.svpc")
         assert hist.count == 1 and hist.total > 0
 
+    def test_direction_refinement_reaches_stage_timers(self):
+        # No sink: refinement sub-queries still add their cascade time.
+        w = B.ref("a", [B.v("i") + 1], write=True)
+        r = B.ref("a", [B.v("i")])
+        analyzer = DependenceAnalyzer(memoizer=Memoizer())
+        registry = analyzer.stats.registry
+
+        def cascade_total():
+            return sum(
+                registry.histogram(f"time.cascade.{name}").total
+                for name in TEST_ORDER
+            )
+
+        before = cascade_total()
+        result = analyzer.directions(w, NEST, r, NEST)
+        assert result.vectors and result.tests_performed > 0
+        assert cascade_total() > before
+        assert registry.histogram("time.cascade.svpc").count == 1
+
     def test_null_sink_collects_nothing(self):
         w = B.ref("a", [B.v("i") + 1], write=True)
         r = B.ref("a", [B.v("i")])
@@ -384,14 +403,6 @@ class TestGoldenTraces:
 
 
 class TestDeprecationShims:
-    def test_decide_still_works_but_warns(self):
-        system = ConstraintSystem(("t0",))
-        system.add([1], 5)
-        system.add([-1], 0)
-        with pytest.warns(DeprecationWarning, match="decide.. is deprecated"):
-            result = SvpcTest().decide(system)
-        assert result.verdict is Verdict.DEPENDENT
-
     def test_run_does_not_warn(self):
         system = ConstraintSystem(("t0",))
         system.add([1], 5)
