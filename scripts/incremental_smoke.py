@@ -2,23 +2,27 @@
 """CI smoke test for incremental re-analysis (repro.core.incremental).
 
 The gauntlet that proves **delta ≡ full**: drive one
-:class:`IncrementalSession` through a seeded 200-edit storm and, after
-*every* edit, compare the incrementally maintained graph's full dump
-(edge list, ``edge_dicts`` serde, DOT text) against a cold full
-re-analysis of the current program.  Any divergence — one edge, one
-byte of DOT — fails the job.
+:class:`IncrementalSession` through a seeded 200-edit storm, each edit
+sent as source text through ``update_source``, and, after *every*
+edit, compare the session's program against ``compile_source`` of the
+text and the incrementally maintained graph's full dump (edge list,
+``edge_dicts`` serde, DOT text) against a cold full re-analysis of the
+current program.  Any divergence — one statement, one edge, one byte
+of DOT — fails the job.
 
-Also enforces the efficiency side on the larger program: across the
-storm the session must reuse far more pair answers than it re-queries,
-or the delta engine is full re-analysis in disguise.
+Also enforces the efficiency side: across the storm the session must
+reuse far more pair answers than it re-queries, or the delta engine is
+full re-analysis in disguise, and at least one edit must reuse a
+compiled top-level statement (span), or the span compiler always falls
+back to a whole-text compile.
 
 With ``--stats-out PATH`` writes a per-edit stats artifact — one
-record per edit: kind, kept/dirty/removed counts, pairs reused vs
-re-queried, edge count, delta and full wall times — which CI passes
-explicitly and uploads for offline inspection.  Without the flag
-nothing is written to disk.
+record per edit: kind, kept/dirty/removed counts, spans compiled vs
+reused, pairs reused vs re-queried, edge count, delta and full wall
+times — which CI passes explicitly and uploads for offline inspection.
+Without the flag nothing is written to disk.
 
-Exits 0 when every edit's graphs match, 1 otherwise.
+Exits 0 when every edit's programs and graphs match, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.incremental import IncrementalSession, full_graph  # noqa: E402
 from repro.fuzz.edits import mutate, storm_program  # noqa: E402
+from repro.lang.unparse import program_to_source  # noqa: E402
+from repro.opt import compile_source  # noqa: E402
 
 SEED = 20260807
 N_EDITS = 200
@@ -47,19 +53,26 @@ def run_storm(seed: int, n_edits: int) -> tuple[list[dict], list[str]]:
     rng = random.Random(seed)
     program = storm_program(seed, statements=STATEMENTS, arrays=ARRAYS)
     session = IncrementalSession()
-    session.update(program)
+    session.update_source(program_to_source(program))
     stats: list[dict] = []
     mismatches: list[str] = []
     for index in range(n_edits):
         program, description = mutate(program, rng, arrays=ARRAYS)
+        text = program_to_source(program)
         start = time.perf_counter()
-        report = session.update(program)
+        report = session.update_source(text)
         delta_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        reference = full_graph(program)
+        compiled = compile_source(text).program
+        reference = full_graph(compiled)
         full_s = time.perf_counter() - start
 
+        if session.program != compiled:
+            mismatches.append(
+                f"edit {index} ({description}): the span compile differs "
+                "from compile_source"
+            )
         identical = (
             session.graph.edges == reference.edges
             and session.graph.edge_dicts() == reference.edge_dicts()
@@ -80,6 +93,8 @@ def run_storm(seed: int, n_edits: int) -> tuple[list[dict], list[str]]:
                 "kept": len(report.delta.kept),
                 "dirty": len(report.delta.dirty),
                 "removed": len(report.delta.removed),
+                "spans_compiled": report.spans_compiled,
+                "spans_reused": report.spans_reused,
                 "pairs": report.total_pairs,
                 "reused": report.reused_pairs,
                 "requeried": report.requeried_pairs,
@@ -87,7 +102,7 @@ def run_storm(seed: int, n_edits: int) -> tuple[list[dict], list[str]]:
                 "edges": report.edges,
                 "delta_ms": round(delta_s * 1000.0, 3),
                 "full_ms": round(full_s * 1000.0, 3),
-                "identical": identical,
+                "identical": identical and session.program == compiled,
             }
         )
     return stats, mismatches
@@ -114,6 +129,8 @@ def main() -> int:
 
     total_reused = sum(s["reused"] for s in stats)
     total_requeried = sum(s["requeried"] for s in stats)
+    spans_compiled = sum(s["spans_compiled"] for s in stats)
+    spans_reused = sum(s["spans_reused"] for s in stats)
     delta_ms = sum(s["delta_ms"] for s in stats)
     full_ms = sum(s["full_ms"] for s in stats)
     kinds = sorted({s["kind"] for s in stats})
@@ -123,6 +140,8 @@ def main() -> int:
         "kinds": kinds,
         "reused_pairs": total_reused,
         "requeried_pairs": total_requeried,
+        "spans_compiled": spans_compiled,
+        "spans_reused": spans_reused,
         "delta_total_ms": round(delta_ms, 1),
         "full_total_ms": round(full_ms, 1),
         "mismatches": mismatches,
@@ -132,6 +151,10 @@ def main() -> int:
         f"  reused {total_reused} pair answers, re-queried "
         f"{total_requeried}; delta {delta_ms:.0f} ms vs full "
         f"{full_ms:.0f} ms total"
+    )
+    print(
+        f"  compiled {spans_compiled} top-level statements, reused "
+        f"{spans_reused}"
     )
     print(f"  edit kinds exercised: {', '.join(kinds)}")
     if args.stats_out is not None:
@@ -154,10 +177,16 @@ def main() -> int:
             "in disguise"
         )
         status = 1
+    if spans_reused == 0:
+        print(
+            "FAIL: no edit reused a compiled statement — the span "
+            "compiler always fell back to a whole-text compile"
+        )
+        status = 1
     if status == 0:
         print(
             f"OK: {args.edits} edits, delta ≡ full after every one "
-            "(edges, serde and DOT all bit-identical)"
+            "(program, edges, serde and DOT all bit-identical)"
         )
     return status
 

@@ -490,6 +490,23 @@ class AnalysisSession:
         Returns an :class:`repro.core.incremental.UpdateReport`; the
         retained graph is ``session.graph``.
         """
+        return self._incremental_session().update(program, verify=verify)
+
+    def update_source(
+        self, text: str, verify: bool = False, name: str = "<source>"
+    ):
+        """:meth:`update` on ``.loop`` source text, recompiling only the
+        top-level statements that changed since the last text
+        (:meth:`repro.core.incremental.IncrementalSession.update_source`).
+
+        Raises the full compile's :class:`~repro.lang.errors.LangError`
+        on a bad edit and keeps the last program and graph.
+        """
+        return self._incremental_session().update_source(
+            text, verify=verify, name=name
+        )
+
+    def _incremental_session(self):
         if self._incremental is None:
             from repro.core.incremental import IncrementalSession
 
@@ -501,7 +518,7 @@ class AnalysisSession:
                 fm_budget=self.config.fm_budget,
                 budget=self.config.budget,
             )
-        return self._incremental.update(program, verify=verify)
+        return self._incremental
 
     @property
     def graph(self):

@@ -23,10 +23,18 @@ edited:
    path is **bit-identical** to a cold full re-analysis — the same
    edge list, the same ``to_dot`` text, the same ``edge_dicts`` serde.
 
+:meth:`IncrementalSession.update_source` takes ``.loop`` text instead
+of a program.  Its :class:`~repro.opt.spans.SpanCompiler` recompiles
+only the top-level statements whose lines changed since the last text
+and hands over the fingerprints of the statements it reused, so an
+edit pays for the edit in the front end as well.
+
 That identity is the module's contract, not an aspiration:
 ``update(..., verify=True)`` runs the full analysis from scratch and
-raises :class:`IncrementalMismatchError` on any divergence, and the CI
-``incremental-smoke`` job enforces it over a seeded edit storm.
+raises :class:`IncrementalMismatchError` on any divergence (and
+``update_source(..., verify=True)`` first checks the compile against
+``compile_source``), and the CI ``incremental-smoke`` job enforces it
+over a seeded edit storm.
 
 Degraded verdicts (a blown :mod:`repro.robust.budget`) are answered
 conservatively in the returned graph but **never retained**: they are
@@ -53,6 +61,8 @@ from repro.ir.fingerprint import (
     program_pair_keys,
 )
 from repro.ir.program import Program, reference_pairs
+from repro.opt.pipeline import compile_source
+from repro.opt.spans import SpanCompiler
 from repro.robust.budget import ResourceBudget
 
 __all__ = [
@@ -102,6 +112,11 @@ class UpdateReport:
     verified: bool = False
     statements: int = 0
     edges: int = field(default=0)
+    # update_source only: top-level statements compiled and reused, and
+    # the compile's skip messages.
+    spans_compiled: int = 0
+    spans_reused: int = 0
+    skipped: list[str] = field(default_factory=list)
 
     @property
     def requery_fraction(self) -> float:
@@ -122,6 +137,8 @@ class UpdateReport:
             "requery_fraction": round(self.requery_fraction, 6),
             "degraded_pairs": self.degraded_pairs,
             "edges": self.edges,
+            "spans_compiled": self.spans_compiled,
+            "spans_reused": self.spans_reused,
             "elapsed_ms": round(self.elapsed_s * 1000.0, 3),
         }
 
@@ -158,6 +175,7 @@ class IncrementalSession:
         self.program: Program | None = None
         self.graph: DependenceGraph | None = None
         self.fingerprint: ProgramFingerprint | None = None
+        self.spans = SpanCompiler()
         self._pair_results: dict[str, DirectionResult] = {}
 
     # -- the delta path ----------------------------------------------------
@@ -171,7 +189,51 @@ class IncrementalSession:
         for tests and smoke jobs; it forfeits the speedup).
         """
         start = time.perf_counter()
-        new_fp = program_fingerprint(program)
+        return self._update(program, program_fingerprint(program), start, verify)
+
+    def update_source(
+        self, text: str, verify: bool = False, name: str = "<source>"
+    ) -> UpdateReport:
+        """:meth:`update` on ``compile_source(text, name, strict=False)``,
+        recompiling only the top-level statements an edit changed.
+
+        A front-end error is the full compile's own
+        (:class:`~repro.lang.errors.LangError`) and leaves the session
+        as it was.  ``elapsed_s`` covers compile plus update; with
+        ``verify=True`` the compile is checked against
+        ``compile_source`` before the graph is checked.
+        """
+        start = time.perf_counter()
+        compiled = self.spans.compile(text, name)
+        result = compiled.result
+        if verify:
+            full = compile_source(text, name=name, strict=False)
+            if (result.program, result.symbols, result.skipped) != (
+                full.program,
+                full.symbols,
+                full.skipped,
+            ):
+                raise IncrementalMismatchError(
+                    "span compile diverged from compile_source"
+                )
+        report = self._update(
+            result.program,
+            program_fingerprint(result.program, compiled.fingerprints),
+            start,
+            verify,
+        )
+        report.spans_compiled = compiled.compiled
+        report.spans_reused = compiled.reused
+        report.skipped = result.skipped
+        return report
+
+    def _update(
+        self,
+        program: Program,
+        new_fp: ProgramFingerprint,
+        start: float,
+        verify: bool,
+    ) -> UpdateReport:
         if self.fingerprint is None:
             delta = FingerprintDelta(
                 kept=(),
@@ -182,7 +244,7 @@ class IncrementalSession:
             delta = diff_fingerprints(self.fingerprint, new_fp)
 
         pairs = reference_pairs(program)
-        keys = program_pair_keys(program, new_fp)
+        keys = program_pair_keys(program, new_fp, pairs)
         results: dict[int, DirectionResult] = {}
         to_query: list[int] = []
         for index, key in enumerate(keys):

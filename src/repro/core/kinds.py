@@ -93,9 +93,9 @@ def classify_pair(
     oriented by statement order; a leading-``*`` vector is conservative
     in both orientations and reported as two edges.
     """
-    if analyzer is None:
-        analyzer = DependenceAnalyzer()
     if directions is None:
+        if analyzer is None:
+            analyzer = DependenceAnalyzer()
         directions = analyzer.directions(
             site1.ref, site1.nest, site2.ref, site2.nest
         )
