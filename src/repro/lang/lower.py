@@ -39,7 +39,14 @@ from repro.lang.ast_nodes import (
 )
 from repro.lang.errors import LowerError
 
-__all__ = ["lower", "LowerResult", "lower_expr"]
+__all__ = [
+    "lower",
+    "LowerResult",
+    "lower_expr",
+    "line_label",
+    "label_line",
+    "skip_line",
+]
 
 
 @dataclass
@@ -49,6 +56,25 @@ class LowerResult:
     program: Program
     symbols: frozenset[str]
     skipped: list[str] = field(default_factory=list)
+
+
+def line_label(line: int) -> str:
+    """The label of a statement lowered from source ``line``."""
+    return f"line{line}"
+
+
+def label_line(label: str) -> int:
+    """The source line a :func:`line_label` label names."""
+    return int(label[len("line") :])
+
+
+def _skip_message(message: str, line: int) -> str:
+    return f"line {line}: {message}"
+
+
+def skip_line(skipped: str) -> int:
+    """The source line a :attr:`LowerResult.skipped` message names."""
+    return int(skipped[len("line ") : skipped.index(":")])
 
 
 def lower_expr(expr: Expr, line: int = 0) -> AffineExpr:
@@ -161,7 +187,7 @@ class _Lowerer:
         if not ok:
             return
         self.program.add(
-            Statement(nest, write, tuple(reads), label=f"line{stmt.line}")
+            Statement(nest, write, tuple(reads), label=line_label(stmt.line))
         )
 
     def _lower_ref(
@@ -206,7 +232,7 @@ class _Lowerer:
     def _problem(self, message: str, line: int) -> None:
         if self.strict:
             raise LowerError(message, line)
-        self.skipped.append(f"line {line}: {message}")
+        self.skipped.append(_skip_message(message, line))
 
 
 def _collect_accesses(expr: Expr) -> list[Access]:

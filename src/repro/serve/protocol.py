@@ -22,7 +22,10 @@ op                   params → result
                      optional ``directions`` (default true) →
                      one canonical dependence report
 ``analyze_program``  ``source`` (source text); optional
-                     ``directions`` → per-pair reports + batch summary
+                     ``directions`` → per-pair reports + batch summary.
+                     A degraded answer (``summary.degraded``) may have
+                     no pairs (the deadline passed before the compile
+                     finished) and means every pair is dependent
 ``explain``          same params as ``analyze`` → report + rendered
                      decision trace
 ``stats``            ``{}`` → merged metrics registry + cache statistics
