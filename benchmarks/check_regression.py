@@ -1,7 +1,7 @@
 """Compare fresh benchmark results against committed baselines.
 
 CI regenerates the ``BENCH_*.json`` artifacts (batch, obs, serve,
-hotpath, cluster, incremental, frontend) and this script diffs them
+hotpath, incremental, frontend, resilience) and this script diffs them
 against ``benchmarks/baselines/``.  Only *ratio* metrics are gated
 (speedups, memo hit rates, tracing overhead): raw wall-clock seconds
 vary wildly across shared runners, but the ratios are computed within
@@ -46,11 +46,6 @@ GATED_METRICS: tuple[tuple[str, str, str], ...] = (
     # The memo's whole point: a fully warm query stream must stay much
     # cheaper than the cold one (within-run ratio, noise-stable).
     ("BENCH_hotpath.json", "warm_speedup", "higher"),
-    # Fleet scaling: 4 worker processes vs 1 behind the router.  The
-    # benchmark records null on hosts with fewer than 4 cores (the
-    # workers time-share, the ratio measures nothing) — a recorded
-    # null on either side skips the gate rather than failing it.
-    ("BENCH_cluster.json", "scaling_4_vs_1", "higher"),
     # The incremental engine's pitch: a single-statement edit on a
     # ~100-nest program beats a cold full re-analysis by >=5x (the
     # benchmark hard-floors that in-run) and re-queries under 10% of
@@ -75,8 +70,6 @@ EXACT_METRICS: tuple[tuple[str, str], ...] = (
     ("BENCH_serve.json", "queries"),
     ("BENCH_serve.json", "clients"),
     ("BENCH_hotpath.json", "queries"),
-    ("BENCH_cluster.json", "queries"),
-    ("BENCH_cluster.json", "clients"),
     ("BENCH_incremental.json", "statements"),
     ("BENCH_incremental.json", "pairs"),
     ("BENCH_incremental.json", "edits"),
@@ -170,16 +163,6 @@ def check(
         fresh = fresh_doc.get(metric)
         base = base_doc.get(metric)
         if fresh is None or base is None:
-            # A key that is *present but null* was deliberately
-            # recorded as host-dependent (e.g. fleet scaling on a
-            # small runner): skip the gate.  A *missing* key means the
-            # benchmark broke: fail.
-            if metric in fresh_doc and metric in base_doc:
-                print(
-                    f"  {'skipped':>10}  {name}:{metric}  recorded null "
-                    "(host-dependent metric)"
-                )
-                continue
             failures.append(f"{name}:{metric} missing (baseline {base}, fresh {fresh})")
             continue
         if direction == "higher":

@@ -27,7 +27,7 @@ from repro.core.engine import queries_from_suite
 from repro.ir.serde import query_to_dict
 from repro.obs.hostmeta import host_metadata
 from repro.perfect import load_suite
-from repro.serve.client import ServeClient
+from repro.serve.client import Client
 from repro.serve.server import DependenceServer, ServeConfig
 
 BENCH_PATH = (
@@ -61,8 +61,8 @@ def _run_pass(host, port, params_list):
 
     def worker(index):
         try:
-            with ServeClient.connect(
-                host, port, timeout=120.0, retry_for=5.0
+            with Client(
+                f"tcp://{host}:{port}", timeout=120.0, retry_for=5.0
             ) as client:
                 for params in slices[index]:
                     start = time.perf_counter()
@@ -118,7 +118,7 @@ def test_bench_serve_throughput(benchmark, capsys):
     host, port = server.bound_host, server.bound_port
 
     def measure():
-        control = ServeClient.connect(host, port, retry_for=5.0)
+        control = Client(f"tcp://{host}:{port}", retry_for=5.0)
         t_cold, lat_cold = _run_pass(host, port, params_list)
         cold_queries, cold_hits = _bounds_counters(control)
         t_warm, lat_warm = _run_pass(host, port, params_list)

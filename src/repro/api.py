@@ -51,7 +51,6 @@ __all__ = [
     "SourceReport",
     "analyze_source",
     "run_fuzz",
-    "connect",
     "Client",
     "RetryPolicy",
     "CircuitBreaker",
@@ -71,42 +70,6 @@ def run_fuzz(*args: Any, **kwargs: Any):
     from repro.fuzz.harness import run_fuzz as _run_fuzz
 
     return _run_fuzz(*args, **kwargs)
-
-
-def connect(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    timeout: float | None = 30.0,
-    retry_for: float = 0.0,
-):
-    """Deprecated alias for :class:`repro.serve.client.Client`.
-
-    The unified client takes an endpoint URL and speaks to bare
-    workers (``tcp://``), cluster routers (``cluster://``) and private
-    child daemons (``stdio:``) with one call surface::
-
-        from repro.api import Client
-
-        client = Client("tcp://127.0.0.1:4733")
-        verdict = client.analyze(source=text, pair=0)
-
-    This shim keeps old ``connect(host, port)`` callers working but
-    warns; it will be removed in a future release.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.api.connect(host, port) is deprecated; use "
-        "repro.api.Client('tcp://HOST:PORT') "
-        "(or cluster://HOST:PORT, stdio:) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.serve.client import ServeClient
-
-    return ServeClient.connect(
-        host, port, timeout=timeout, retry_for=retry_for
-    )
 
 
 #: Serve-client symbols re-exported lazily: the resilience surface

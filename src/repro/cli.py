@@ -39,7 +39,8 @@ Subcommands:
   poll its mtime and re-analyze only the pairs each edit dirtied
   (:mod:`repro.core.incremental`), locally or against a daemon's
   protocol-v3 session ops via ``--endpoint`` (durable sessions: the
-  client journals frames and replays them across failovers).
+  client journals frames and replays them across reconnects and
+  daemon restarts).
 * ``ping --endpoint URL`` — one health round-trip with its latency;
   exit 0 when the endpoint answers, 3 when it does not.
 * ``chaosproxy LISTEN UPSTREAM`` — the seeded network-fault proxy
@@ -624,65 +625,7 @@ def _cmd_deps(args: argparse.Namespace) -> int:
     return EXIT_DEPENDENCE if count else EXIT_OK
 
 
-def _worker_passthrough_args(args: argparse.Namespace) -> tuple[str, ...]:
-    """Re-spell the serve flags for a cluster worker's child argv.
-
-    Whatever the operator passed to ``repro serve --cluster N`` rides
-    through to every worker daemon, so the fleet behaves like N copies
-    of the single-daemon configuration.  (``--cache`` stays out: the
-    workers would race on one store file; warmth sharing inside a
-    cluster goes through the spill directory instead.)
-    """
-    out: list[str] = [
-        "--cache-max-bytes",
-        str(args.cache_max_bytes),
-        "--max-inflight",
-        str(args.max_inflight),
-        "--queue-limit",
-        str(args.queue_limit),
-        "--fm-budget",
-        str(args.fm_budget),
-    ]
-    if args.deadline_ms is not None:
-        out += ["--deadline-ms", str(args.deadline_ms)]
-    if args.symmetry:
-        out.append("--symmetry")
-    for flag, value in (
-        ("--deadline-s", args.deadline_s),
-        ("--max-fm-nodes", args.max_fm_nodes),
-        ("--max-constraints", args.max_constraints),
-        ("--max-coeff-bits", args.max_coeff_bits),
-        ("--max-depth", args.max_depth),
-    ):
-        if value is not None:
-            out += [flag, str(value)]
-    return tuple(out)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.cluster is not None:
-        from repro.serve.cluster import ClusterConfig, ClusterSupervisor
-
-        if args.stdio:
-            print("error: --cluster and --stdio are exclusive", file=sys.stderr)
-            return EXIT_USAGE
-        if args.cache:
-            print(
-                "error: --cluster workers cannot share one --cache store; "
-                "use --spill-dir for warmth sharing",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        config = ClusterConfig(
-            workers=args.cluster,
-            host=args.host,
-            port=args.port,
-            spill_dir=args.spill_dir,
-            spill_interval_s=args.spill_interval,
-            worker_args=_worker_passthrough_args(args),
-        )
-        return ClusterSupervisor(config).run()
-
     from repro.serve.server import DependenceServer, ServeConfig
 
     config = ServeConfig(
@@ -697,9 +640,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         symmetry=args.symmetry,
         fm_budget=args.fm_budget,
         budget=_budget_from_args(args),
-        worker_id=args.worker_id,
-        spill_dir=args.spill_dir,
-        spill_interval_s=args.spill_interval,
     )
     return DependenceServer(config).run()
 
@@ -714,6 +654,42 @@ def _retry_from_args(args: argparse.Namespace):
     return RetryPolicy(
         attempts=retries + 1,
         base_delay_s=getattr(args, "retry_backoff", 0.05),
+    )
+
+
+def _endpoint_url(text: str) -> str:
+    """``--endpoint`` values: a URL :class:`~repro.serve.client.Client`
+    accepts, or an argparse usage error naming the accepted forms."""
+    from repro.serve.client import parse_endpoint
+
+    try:
+        parse_endpoint(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return text
+
+
+def _port_number(text: str) -> int:
+    """``--port`` values: a TCP port number, 0..65535."""
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"not a TCP port: {text!r}")
+    return port
+
+
+def _add_endpoint_flag(
+    parser: argparse.ArgumentParser, required: bool = False
+) -> None:
+    parser.add_argument(
+        "--endpoint",
+        type=_endpoint_url,
+        required=required,
+        metavar="URL",
+        help="the daemon: tcp://HOST:PORT, or stdio: (a private child "
+        "daemon)",
     )
 
 
@@ -754,20 +730,19 @@ def _cmd_query(args: argparse.Namespace) -> int:
     }
     if args.endpoint is not None:
         endpoint = args.endpoint
-    elif args.port is not None:
+    elif args.port is not None and args.host:
         endpoint = f"tcp://{args.host}:{args.port}"
     else:
         print(
-            "error: give --endpoint URL or --port PORT", file=sys.stderr
+            "error: give --endpoint URL, or --port PORT and a non-empty "
+            "--host",
+            file=sys.stderr,
         )
         return EXIT_USAGE
     try:
         client = Client(
             endpoint, retry_for=args.retry_for, retry=_retry_from_args(args)
         )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as err:
         print(
             f"error: cannot reach server at {endpoint}: {err}",
@@ -860,14 +835,14 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 retry_for=args.retry_for,
                 retry=_retry_from_args(args),
             )
-        except (ValueError, OSError) as err:
+        except OSError as err:
             print(f"error: cannot reach {args.endpoint}: {err}", file=sys.stderr)
             return EXIT_INTERNAL
         health = client.health()
         if not health.get("sessions"):
             print(
                 f"error: {args.endpoint} does not serve incremental "
-                "sessions (needs a protocol v3 worker or cluster router)",
+                "sessions (needs a protocol v3 daemon)",
                 file=sys.stderr,
             )
             client.close()
@@ -970,9 +945,6 @@ def _cmd_ping(args: argparse.Namespace) -> int:
 
     try:
         client = Client(args.endpoint, timeout=args.timeout)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as err:
         print(f"error: cannot reach {args.endpoint}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -1351,35 +1323,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument("--symmetry", action="store_true")
     p_serve.add_argument("--fm-budget", type=int, default=256)
-    p_serve.add_argument(
-        "--cluster",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run a consistent-hash router over N worker daemons "
-        "instead of one server (see repro.serve.cluster)",
-    )
-    p_serve.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="this daemon's ring id inside a cluster (set by the "
-        "cluster supervisor)",
-    )
-    p_serve.add_argument(
-        "--spill-dir",
-        metavar="DIR",
-        default=None,
-        help="memo-warmth gossip directory: periodically spill this "
-        "daemon's memo table there and absorb peers' images",
-    )
-    p_serve.add_argument(
-        "--spill-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="gossip period for --spill-dir (default 2.0)",
-    )
     _add_budget_flags(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -1393,15 +1336,14 @@ def main(argv: list[str] | None = None) -> int:
         help="source file (.loop/.py/.c), or - (not needed for control ops)",
     )
     _add_lang_flag(p_query)
-    p_query.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="URL",
-        help="tcp://HOST:PORT, cluster://HOST:PORT, or stdio: "
-        "(overrides --host/--port)",
-    )
+    _add_endpoint_flag(p_query)
     p_query.add_argument("--host", default="127.0.0.1")
-    p_query.add_argument("--port", type=int, default=None)
+    p_query.add_argument(
+        "--port",
+        type=_port_number,
+        default=None,
+        help="the daemon's port on --host (when no --endpoint is given)",
+    )
     p_query.add_argument(
         "--op",
         default="analyze",
@@ -1419,7 +1361,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_watch = sub.add_parser(
         "watch",
-        help="incremental re-analysis of a file as it is edited",
+        help="incremental re-analysis of a file as it is edited "
+        "(in-process, or on a daemon's sessions with --endpoint)",
     )
     p_watch.add_argument("file", help="source file (.loop/.py/.c) to watch")
     _add_lang_flag(p_watch)
@@ -1437,13 +1380,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="exit after N successful updates (default: watch forever)",
     )
-    p_watch.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="URL",
-        help="use a running daemon's protocol-v3 session ops "
-        "(tcp://HOST:PORT) instead of analyzing in-process",
-    )
+    _add_endpoint_flag(p_watch)
     p_watch.add_argument(
         "--verify",
         action="store_true",
@@ -1456,14 +1393,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_ping = sub.add_parser(
         "ping",
-        help="one health round-trip against a server or router, with latency",
+        help="one health round-trip against a daemon, with latency",
     )
-    p_ping.add_argument(
-        "--endpoint",
-        required=True,
-        metavar="URL",
-        help="tcp://HOST:PORT, cluster://HOST:PORT, or stdio:",
-    )
+    _add_endpoint_flag(p_ping, required=True)
     p_ping.add_argument(
         "--timeout",
         type=float,

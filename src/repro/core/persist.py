@@ -10,10 +10,9 @@ This module is the only encoder, decoder and atomic writer of a
 :class:`~repro.core.memo.Memoizer` on disk.  Every disk user goes
 through it — ``repro batch --warm-cache`` (:func:`save_memoizer`,
 :func:`load_memoizer_safe`), the serve disk tier
-(:class:`repro.serve.cache.ServeCache`), the cluster's spill images and
-the batch checkpoint (:mod:`repro.robust.checkpoint`, which embeds the
-image as an object) — so a file written by any of them loads in the
-others.  The format (version 2)::
+(:class:`repro.serve.cache.ServeCache`) and the batch checkpoint
+(:mod:`repro.robust.checkpoint`, which embeds the image as an object) —
+so a file written by any of them loads in the others.  The format (version 2)::
 
     {
       "format": "repro-memo",

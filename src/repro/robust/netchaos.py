@@ -3,13 +3,13 @@
 :mod:`repro.robust.chaos` proves the *process* layer survives crashes,
 hangs and torn disk writes; this module does the same for the *network*
 layer.  A :class:`ChaosProxy` sits between a client and a serving
-endpoint (a worker daemon or a cluster router) and injects faults into
-the byte stream — and, exactly like :class:`~repro.robust.chaos
-.FaultPlan`, every fault is a pure function of the seed: whether a
-given connection or frame suffers is decided by a SHA-256 roll over
-``(seed, site, conn, frame)``, so the same :class:`NetFaultPlan`
-replays the same fault schedule in every run, on every platform, and
-tests can precompute it with :meth:`NetFaultPlan.peek`.
+daemon and injects faults into the byte stream — and, exactly like
+:class:`~repro.robust.chaos.FaultPlan`, every fault is a pure function
+of the seed: whether a given connection or frame suffers is decided by
+a SHA-256 roll over ``(seed, site, conn, frame)``, so the same
+:class:`NetFaultPlan` replays the same fault schedule in every run, on
+every platform, and tests can precompute it with
+:meth:`NetFaultPlan.peek`.
 
 Fault sites and kinds:
 

@@ -22,20 +22,16 @@ caller, forever.  This package is that daemon plus its client:
   thread on the cache's one live memoizer, so the daemon starts no
   worker processes;
 * :mod:`repro.serve.client` — the unified pipelining synchronous
-  client (``tcp://``, ``cluster://`` and ``stdio:`` endpoints behind
-  one :class:`~repro.serve.client.Client`);
-* :mod:`repro.serve.router` — the consistent-hash cluster router:
-  shards the canonical query-key space over a worker fleet and replays
-  in-flight queries across worker loss;
-* :mod:`repro.serve.cluster` — the fleet supervisor behind
-  ``repro serve --cluster N``: N worker daemons, memo-warmth gossip,
-  crash restarts and rolling restarts.
+  client (``tcp://`` and ``stdio:`` endpoints behind one
+  :class:`~repro.serve.client.Client`), with opt-in retries, a circuit
+  breaker and durable incremental sessions that survive a restarted
+  daemon.
 
 CLI entry points: ``repro serve`` and ``repro query``.
 
 The re-exports below resolve on first use, so importing one submodule —
 the CLI reads :data:`repro.serve.protocol.OPS` to build ``repro query``
-— does not import the server, router and cluster with it.
+— does not import the server with it.
 """
 
 import importlib
@@ -48,15 +44,9 @@ _EXPORTS = {
     "ServeCache": "repro.serve.cache",
     "SingleFlight": "repro.serve.cache",
     "Client": "repro.serve.client",
-    "ServeClient": "repro.serve.client",
     "ServeError": "repro.serve.client",
     "DependenceServer": "repro.serve.server",
     "ServeConfig": "repro.serve.server",
-    "HashRing": "repro.serve.router",
-    "ClusterRouter": "repro.serve.router",
-    "RouterConfig": "repro.serve.router",
-    "ClusterConfig": "repro.serve.cluster",
-    "ClusterSupervisor": "repro.serve.cluster",
 }
 
 __all__ = list(_EXPORTS)

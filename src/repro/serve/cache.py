@@ -42,10 +42,8 @@ from repro.core.persist import (
     MemoImageSkew,
     atomic_write_text,
     decode_tables,
-    dumps,
     encode_entry,
     encode_image,
-    load_memoizer_safe,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -243,49 +241,6 @@ class ServeCache:
         self.last_save_bytes = len(text)
         self.registry.inc("serve.cache.saves")
         return len(text)
-
-    # -- warmth sharing (cluster spill) ------------------------------------
-
-    def spill(self, path: str | Path) -> int:
-        """Atomically write the memo tables as a warm-start image.
-
-        The cluster's warmth-sharing channel: each worker periodically
-        spills its tables to a shared directory and absorbs its peers'
-        images, so a hit on any node warms the fleet.  The image is the
-        one :mod:`repro.core.persist` format — which structurally
-        cannot represent a degraded verdict (degraded answers are never
-        memoized), so no degraded frame is ever gossiped.  Returns the
-        number of entries written.
-        """
-        snapshot = self.memoizer.copy()
-        atomic_write_text(path, dumps(snapshot), chaos_site="serve.spill")
-        self.registry.inc("serve.spill.saves")
-        return len(snapshot.no_bounds) + len(snapshot.with_bounds)
-
-    def absorb(self, path: str | Path) -> int:
-        """Merge a peer worker's spilled image into the live tables.
-
-        Corrupt, truncated or keying-incompatible images are skipped
-        with a warning (peer warmth is a bonus, never a dependency).
-        Returns the number of entries gained.
-        """
-        memo = load_memoizer_safe(path)
-        if memo is not None and not self.memoizer.compatible_with(memo):
-            warnings.warn(
-                f"ignoring peer spill {path}: incompatible memo keying",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            memo = None
-        if memo is None:
-            self.registry.inc("serve.spill.load_failures")
-            return 0
-        before = self.entry_count()
-        self.memoizer.merge_from(memo)
-        gained = self.entry_count() - before
-        if gained:
-            self.registry.inc("serve.spill.absorbed", gained)
-        return gained
 
     # -- introspection -----------------------------------------------------
 

@@ -3,19 +3,15 @@
 One class, :class:`Client`, speaks the JSON-lines protocol to every
 kind of serving endpoint, selected by URL scheme::
 
-    Client("tcp://127.0.0.1:4733")      # one bare worker daemon
-    Client("cluster://127.0.0.1:4700")  # a consistent-hash router
-    Client("stdio:")                    # a private child daemon
+    Client("tcp://127.0.0.1:4733")  # a running daemon
+    Client("stdio:")                # a private child daemon
 
 ``tcp://`` connects to a running :class:`~repro.serve.server
-.DependenceServer`; ``cluster://`` connects to a
-:class:`~repro.serve.router.ClusterRouter` and verifies the endpoint
-really is one (the health frame must advertise ``cluster: true``);
-``stdio:`` spawns a private ``repro serve --stdio`` child process and
-talks over its pipes.  The call surface — :meth:`Client.call`,
-:meth:`Client.call_many`, :meth:`Client.analyze` and friends — is
-identical across all three: the wire protocol is the same protocol,
-only the transport differs.
+.DependenceServer`; ``stdio:`` spawns a private ``repro serve --stdio``
+child process and talks over its pipes.  The call surface —
+:meth:`Client.call`, :meth:`Client.call_many`, :meth:`Client.analyze`
+and friends — is identical across both: the wire protocol is the same
+protocol, only the transport differs.
 
 Pipelining: :meth:`Client.call_many` writes a whole batch of request
 lines before reading any response, then matches responses back to
@@ -46,15 +42,13 @@ Resilience (all opt-in, zero-cost when off):
 * incremental sessions are durable: :meth:`Client.open_session` mints
   a client-side ``session_id`` plus a monotonic epoch and journals
   every ``open_session``/``update_source`` frame, and on a transport
-  failure or an ``unknown_session`` answer (a worker died and the ring
-  re-homed the session) the journal replays to rebuild the session —
-  bit-identical to an uninterrupted one, because the incremental
-  engine guarantees delta ≡ full re-analysis of the final source;
+  failure or an ``unknown_session`` answer (the daemon restarted, or a
+  reconnect landed on a fresh connection, which holds no sessions) the
+  journal replays to rebuild the session — bit-identical to an
+  uninterrupted one, because the incremental engine guarantees delta ≡
+  full re-analysis of the final source;
 * everything observable lands in the client's
   :class:`~repro.obs.metrics.MetricsRegistry` under ``client.*``.
-
-:class:`ServeClient` remains as the (host, port) constructor spelling
-of a ``tcp://`` client; ``repro.api.connect()`` is a deprecated alias.
 """
 
 from __future__ import annotations
@@ -75,7 +69,6 @@ from repro.serve.protocol import ProtocolError
 
 __all__ = [
     "Client",
-    "ServeClient",
     "ServeError",
     "TransportError",
     "CircuitOpenError",
@@ -95,8 +88,8 @@ _RETRIABLE_SERVER_CODES = frozenset(
     {protocol.ErrorCode.OVERLOADED, protocol.ErrorCode.SHUTTING_DOWN}
 )
 
-#: Replay restarts allowed when the ring re-homes a session mid-replay
-#: and no RetryPolicy supplies its own attempt budget.
+#: Replay restarts allowed when a session vanishes mid-replay and no
+#: RetryPolicy supplies its own attempt budget.
 _REPLAY_ATTEMPTS = 4
 
 
@@ -245,26 +238,21 @@ class CircuitBreaker:
 def parse_endpoint(endpoint: str) -> tuple[str, str | None, int | None]:
     """Split an endpoint URL into ``(scheme, host, port)``.
 
-    Accepted forms: ``tcp://HOST:PORT``, ``cluster://HOST:PORT``,
-    ``stdio:`` (also spelled ``stdio://``).  Anything else raises
-    :class:`ValueError` naming the supported schemes.
+    Accepted forms: ``tcp://HOST:PORT`` and ``stdio:`` (also spelled
+    ``stdio://``).  Anything else raises :class:`ValueError` naming the
+    supported schemes.
     """
     if endpoint in ("stdio:", "stdio://"):
         return "stdio", None, None
-    for scheme in ("tcp", "cluster"):
-        prefix = f"{scheme}://"
-        if endpoint.startswith(prefix):
-            rest = endpoint[len(prefix) :]
-            host, sep, port_text = rest.rpartition(":")
-            if not sep or not host or not port_text.isdigit():
-                raise ValueError(
-                    f"endpoint {endpoint!r} needs the form "
-                    f"{scheme}://HOST:PORT"
-                )
-            return scheme, host, int(port_text)
+    if endpoint.startswith("tcp://"):
+        host, sep, port_text = endpoint[len("tcp://") :].rpartition(":")
+        if not sep or not host or not port_text.isdigit():
+            raise ValueError(
+                f"endpoint {endpoint!r} needs the form tcp://HOST:PORT"
+            )
+        return "tcp", host, int(port_text)
     raise ValueError(
-        f"unsupported endpoint {endpoint!r} "
-        "(use tcp://HOST:PORT, cluster://HOST:PORT, or stdio:)"
+        f"unsupported endpoint {endpoint!r} (use tcp://HOST:PORT or stdio:)"
     )
 
 
@@ -375,17 +363,6 @@ class Client:
         self._stdio_args = stdio_args
         self._journal: dict[str, dict] = {}  # session_id -> journal entry
         self._transport: Any = self._make_transport(retry_for)
-        if self.scheme == "cluster":
-            # cluster:// promises a router; fail loudly when pointed at
-            # a bare worker instead of silently losing the fleet.
-            info = self.health()
-            if not info.get("cluster"):
-                self.close()
-                raise ValueError(
-                    f"endpoint {endpoint!r} is not a cluster router "
-                    "(health did not advertise cluster: true); "
-                    "use tcp:// for a bare worker"
-                )
 
     def _make_transport(self, retry_for: float = 0.0) -> Any:
         if self.scheme == "stdio":
@@ -719,14 +696,13 @@ class Client:
         With ``source`` the first full analysis runs immediately and
         the result carries its ``update`` summary.  Requires an
         endpoint whose ``health`` advertises ``sessions: true``
-        (protocol v3 workers, or a cluster router that pins sessions
-        to ring homes).
+        (protocol v3).
 
         The session is durable: the client mints ``session_id`` (or
         takes yours), stamps a monotonic epoch, and journals this
         frame plus every later :meth:`update_source`, replaying the
         journal to rebuild the session after a reconnect or a
-        router-side worker failover.
+        restarted daemon.
         """
         sid = session_id if session_id is not None else f"c{uuid.uuid4().hex[:12]}"
         merged = dict(params)
@@ -763,8 +739,9 @@ class Client:
         except ServeError as err:
             if entry is not None:
                 if err.code == protocol.ErrorCode.UNKNOWN_SESSION:
-                    # The worker holding this session died (or the ring
-                    # re-homed it): rebuild everything from the journal.
+                    # The daemon no longer holds this session (it
+                    # restarted, or this is a fresh connection): rebuild
+                    # everything from the journal.
                     return self._replay_session(session)
                 # The server rejected this very update (bad source,
                 # blown limit): scrub it from the journal so a later
@@ -792,10 +769,10 @@ class Client:
     def _replay_session(self, sid: str) -> dict:
         """Rebuild a journaled session on the live endpoint.
 
-        Bumps the epoch (so a zombie worker holding the old
-        incarnation can never accept stale frames), re-opens with the
-        original open params, and re-applies every journaled update in
-        order.  Returns the response of the final journal frame.
+        Bumps the epoch (so a late frame of the old incarnation can
+        never clobber the rebuilt one), re-opens with the original open
+        params, and re-applies every journaled update in order.
+        Returns the response of the final journal frame.
         Bit-identity with the uninterrupted session is guaranteed by
         the incremental engine's delta ≡ full invariant: the rebuilt
         graph is a pure function of the final source.
@@ -829,11 +806,10 @@ class Client:
             except ServeError as err:
                 if err.code != protocol.ErrorCode.UNKNOWN_SESSION:
                     raise
-                # The ring re-homed the session *mid-replay* (e.g. the
-                # dead worker's replacement rejoined and took the pin
-                # back): restart the whole replay on the new home.  The
-                # re-open is idempotent — equal epochs replace — so a
-                # restarted replay converges to the same final state.
+                # The session vanished *mid-replay*: restart the whole
+                # replay.  The re-open is idempotent — equal epochs
+                # replace — so a restarted replay converges to the same
+                # final state.
                 if attempt + 1 >= (
                     self.retry.attempts if self.retry else _REPLAY_ATTEMPTS
                 ) or (deadline is not None and time.monotonic() >= deadline):
@@ -857,30 +833,3 @@ class Client:
 
     def shutdown(self) -> dict:
         return self.call("shutdown")
-
-
-class ServeClient(Client):
-    """The ``(host, port)`` spelling of a ``tcp://`` :class:`Client`."""
-
-    def __init__(self, host: str, port: int, timeout: float | None = 30.0):
-        super().__init__(f"tcp://{host}:{port}", timeout=timeout)
-
-    @classmethod
-    def connect(
-        cls,
-        host: str,
-        port: int,
-        timeout: float | None = 30.0,
-        retry_for: float = 0.0,
-        retry: RetryPolicy | None = None,
-    ) -> "ServeClient":
-        """Connect, optionally retrying while the server comes up."""
-        client = cls.__new__(cls)
-        Client.__init__(
-            client,
-            f"tcp://{host}:{port}",
-            timeout=timeout,
-            retry_for=retry_for,
-            retry=retry,
-        )
-        return client

@@ -35,8 +35,8 @@ op                   params → result
 ``open_session``     optional ``source`` → ``{"session": id, ...}``; opens
                      an incremental re-analysis session on this connection
                      (analyzing ``source`` when given).  Optional
-                     ``session_id`` (client-minted durable id, also the
-                     router's ring-pinning key) + ``epoch`` (monotonic
+                     ``session_id`` (client-minted durable id, the key
+                     its journal replays under) + ``epoch`` (monotonic
                      incarnation counter: re-opening with a lower epoch
                      than the live session is rejected, equal-or-higher
                      replaces it — journal-replay recovery).  Both are
@@ -46,7 +46,7 @@ op                   params → result
                      only what the edit dirtied.  An id the server does
                      not hold answers ``unknown_session`` — the typed
                      signal for a client to replay its session journal
-                     (e.g. after worker failover behind a router)
+                     (e.g. after a reconnect or a restarted daemon)
 ``graph``            ``session`` → retained dependence graph as canonical
                      ``edges`` serde + ``dot`` text + last-update summary
 ===================  =======================================================
@@ -54,15 +54,15 @@ op                   params → result
 Every op that takes ``source`` also accepts an optional ``lang``
 (``"loop"`` / ``"python"`` / ``"c"``, default ``"loop"``): non-loop
 text goes through the matching :mod:`repro.frontends` extractor before
-analysis.  Workers advertise the accepted list under ``frontends`` in
-their ``health`` response; this is additive, so the protocol version
+analysis.  The daemon advertises the accepted list under ``frontends``
+in its ``health`` response; this is additive, so the protocol version
 is unchanged.
 
 What each op *is* — pure or mutating, control plane or analysis,
-stateless or pinned to a session — is declared once, in :data:`OPS`.
-The server's dispatch, the router's routing, the client's retry
-eligibility and the ``repro query`` verb all read that table, so a new
-op is one row, and a row cannot be half-registered.
+stateless or bound to a session — is declared once, in :data:`OPS`.
+The server's dispatch, the client's retry eligibility and the
+``repro query`` verb all read that table, so a new op is one row, and a
+row cannot be half-registered.
 
 The **canonical report** encoding (:func:`report_to_wire`) contains
 only the semantic answer — verdict, deciding test, exactness,
@@ -92,7 +92,6 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "Op",
     "OPS",
-    "shard_key",
     "ErrorCode",
     "ProtocolError",
     "Request",
@@ -117,24 +116,13 @@ __all__ = [
 #: in both revisions, so version 1 and 2 requests are still accepted —
 #: negotiation is one-sided and backward: an old client may talk to a
 #: new server, and a new client probes ``health`` for capabilities
-#: before relying on them.
+#: before relying on them.  Since the router's removal ``cluster`` is
+#: always false and ``worker_id`` is not sent.
 PROTOCOL_VERSION = 3
 MIN_PROTOCOL_VERSION = 1
 SUPPORTED_VERSIONS = frozenset(
     range(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1)
 )
-
-
-def shard_key(params: dict) -> bytes:
-    """The canonical byte key a stateless request shards on.
-
-    The canonical JSON text of the params object — the same
-    canonicalization the workers' wire fast lane keys on, so one wire
-    query maps to one byte string everywhere.  Every memo key a worker
-    derives from a request is a deterministic function of this text,
-    which is what gives each memo entry exactly one home on the ring.
-    """
-    return canonical_json(params).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -145,14 +133,12 @@ class Op:
     probe, so a client may re-send it after a reconnect.  Only pure ops
     are ever retried; the default is the safe one.
 
-    ``control``: whichever endpoint receives the op answers it.  A
-    router does not forward it, and a worker serves it outside the
+    ``control``: the server answers the op inline, outside the
     admission limit and the drain check.
 
     ``session_param``: the param naming the incremental session the op
     acts on (``None``: stateless).  A stateful op bypasses the fast
-    lane and single-flight, and shards on its session id, not on its
-    params.
+    lane and single-flight.
 
     ``source``: the op takes ``source`` text and the optional ``lang``.
     """
@@ -169,25 +155,8 @@ class Op:
 
     @property
     def handler(self) -> str:
-        """The method serving this op on a worker (and, for a control
-        op, on a router)."""
+        """The server method serving this op."""
         return f"_op_{self.name}"
-
-    def shard_key(self, params: dict) -> bytes | None:
-        """The ring key a forwarded request of this op homes on.
-
-        A stateless op shards on its canonical params, for cache
-        affinity.  A stateful op shards on its session id alone, so the
-        open, every later frame and every journal replay of one session
-        land on one worker.  ``None`` means a stateful op without a
-        usable session id: it has no stable home.
-        """
-        if self.session_param is None:
-            return shard_key(params)
-        sid = params.get(self.session_param)
-        if not isinstance(sid, str) or not sid:
-            return None
-        return shard_key({"session": sid})
 
 
 #: Every op the protocol speaks, by name.

@@ -51,10 +51,8 @@ import signal
 import sys
 import threading
 import traceback
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from repro.api import AnalysisConfig, AnalysisSession, DependenceReport
@@ -168,16 +166,6 @@ class ServeConfig:
     symmetry: bool = False
     fm_budget: int = 256
     announce: bool = True  # print the {"serving": ...} line on stdout
-    # Cluster membership (set by the repro.serve.cluster supervisor):
-    # the worker's stable ring id, plus the shared warmth-spill
-    # directory the fleet gossips memo images through.  A worker with a
-    # spill_dir periodically writes its memo tables to
-    # ``<spill_dir>/<worker_id>.memo.json`` and absorbs every peer
-    # image that changed since its last scan, so a hit on any node
-    # warms the whole fleet.
-    worker_id: str | None = None
-    spill_dir: str | None = None
-    spill_interval_s: float = 2.0
     # In-analyzer resource governor (repro.robust.budget): bounds each
     # query *inside* the worker, complementing deadline_ms, which only
     # bounds how long the caller waits.  A blown budget degrades the
@@ -218,9 +206,6 @@ class DependenceServer:
         self._session_registries: list[MetricsRegistry] = []
         self._sessions_open = 0
         self._session_counter = 0  # incremental session ids (event loop only)
-        self._spill_task: asyncio.Task | None = None
-        self._peer_mtimes: dict[str, int] = {}
-        self._last_spilled_entries = -1
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -243,10 +228,6 @@ class DependenceServer:
         self._loop = asyncio.get_running_loop()
         self._semaphore = asyncio.Semaphore(self.config.max_inflight)
         self._install_signal_handlers()
-        if self.config.spill_dir is not None:
-            self._spill_task = asyncio.get_running_loop().create_task(
-                self._spill_loop()
-            )
         if self.config.stdio:
             await self._serve_stdio()
         else:
@@ -327,59 +308,9 @@ class DependenceServer:
                 pass
 
     async def _teardown(self) -> None:
-        if self._spill_task is not None:
-            self._spill_task.cancel()
-            await asyncio.gather(self._spill_task, return_exceptions=True)
         self._executor.shutdown(wait=True)
         if self.cache.path is not None:
             self.cache.save()
-        if self.config.spill_dir is not None:
-            # Final spill so a drained worker's warmth outlives it (the
-            # supervisor's replacement absorbs it on its first scan).
-            self._spill_once()
-
-    # -- memo-warmth sharing -----------------------------------------------
-
-    async def _spill_loop(self) -> None:
-        """Periodically gossip memo warmth through the spill directory."""
-        interval = max(0.05, self.config.spill_interval_s)
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(interval)
-            await loop.run_in_executor(None, self._spill_once)
-
-    def _spill_once(self) -> None:
-        """One gossip round: absorb changed peer images, write our own.
-
-        Any failure is contained — spill warmth is a bonus, never a
-        dependency — and the next round retries.
-        """
-        assert self.config.spill_dir is not None
-        try:
-            directory = Path(self.config.spill_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            own_name = f"{self.config.worker_id or 'worker'}.memo.json"
-            for path in sorted(directory.glob("*.memo.json")):
-                if path.name == own_name:
-                    continue
-                try:
-                    mtime = path.stat().st_mtime_ns
-                except OSError:
-                    continue
-                if self._peer_mtimes.get(path.name) == mtime:
-                    continue  # unchanged since our last absorb
-                self._peer_mtimes[path.name] = mtime
-                self.cache.absorb(path)
-            count = self.cache.entry_count()
-            if count != self._last_spilled_entries:
-                self.cache.spill(directory / own_name)
-                self._last_spilled_entries = self.cache.entry_count()
-        except Exception as err:  # noqa: BLE001 — gossip must not kill serve
-            self.registry.inc("serve.spill.errors")
-            warnings.warn(
-                f"memo spill round failed: {err!r}", RuntimeWarning,
-                stacklevel=2,
-            )
 
     # -- connections -------------------------------------------------------
 
@@ -887,8 +818,8 @@ class DependenceServer:
         inc_sessions: _IncrementalSessions,
     ):
         # Durable-session fields (additive, v3): a client may mint its
-        # own id — the key its journal replays under and the router
-        # pins to the hash ring — plus a monotonic incarnation epoch.
+        # own id — the key its journal replays under — plus a monotonic
+        # incarnation epoch.
         sid_param = request.params.get("session_id")
         epoch = request.params.get("epoch", 0)
         if sid_param is not None and (
@@ -1039,8 +970,8 @@ class DependenceServer:
             "status": "draining" if self.draining else "ok",
             "protocol": protocol.PROTOCOL_VERSION,
             "server": repro.__version__,
-            # Capability advertisement (protocol v2): this endpoint is a
-            # bare worker, not a consistent-hash router.
+            # Capability advertisement (protocol v2), kept for the v2
+            # clients that check it: this endpoint is never a router.
             "cluster": False,
             # Capability advertisement (protocol v3): incremental
             # session ops are served here.
@@ -1048,7 +979,6 @@ class DependenceServer:
             # Source languages accepted via the 'lang' param on every
             # op the table marks as taking source.
             "frontends": ["loop", "python", "c"],
-            "worker_id": self.config.worker_id,
             "inflight": self._admitted,
             "connections": self._sessions_open,
             "cache_entries": self.cache.entry_count(),

@@ -321,3 +321,21 @@ class TestFuzzCommand:
         assert repro_main(["fuzz", "--replay", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "notes.json" in err and "not a fuzz corpus case" in err
+
+
+class TestEndpointFlag:
+    """``query``, ``watch`` and ``ping`` share one ``--endpoint``: a URL
+    the client cannot speak is a usage error in every verb."""
+
+    @pytest.mark.parametrize("url", ["http://x:1", "cluster://127.0.0.1:1"])
+    @pytest.mark.parametrize("verb", ["query", "watch", "ping"])
+    def test_unsupported_url_is_a_usage_error(
+        self, source_file, capsys, verb, url
+    ):
+        argv = [verb, "--endpoint", url]
+        if verb == "watch":
+            argv.insert(1, source_file)
+        with pytest.raises(SystemExit) as exc:
+            repro_main(argv)
+        assert exc.value.code == 2
+        assert "unsupported endpoint" in capsys.readouterr().err

@@ -5,7 +5,7 @@ injects is a pure SHA-256 function of ``(seed, site, conn, frame)``,
 so the tests precompute fault schedules with :meth:`NetFaultPlan.peek`
 and then assert the live proxy injected *exactly* those faults — and
 that the resilient client recovers to bit-identical answers through
-all of them.
+all of them, a daemon restart included.
 """
 
 import socket
@@ -13,6 +13,10 @@ import threading
 
 import pytest
 
+from repro.api import DependenceReport
+from repro.core.engine import PairQuery, analyze_batch
+from repro.fuzz.generator import generate_cases
+from repro.ir.serde import query_to_dict
 from repro.robust.netchaos import (
     CONNECT_KINDS,
     DELAY,
@@ -27,12 +31,14 @@ from repro.robust.netchaos import (
     ChaosProxy,
     NetFaultPlan,
 )
+from repro.serve import protocol
 from repro.serve.client import (
     CircuitBreaker,
     Client,
     RetryPolicy,
     TransportError,
 )
+from repro.serve.server import ServeConfig
 
 from tests.test_serve_server import SOURCE, _RunningServer
 
@@ -280,6 +286,112 @@ class TestChaosProxy:
         assert handle.proxy.injection_log(), "no faults injected"
         assert stormy["edges"] == clean["edges"]
         assert stormy["dot"] == clean["dot"]
+
+
+N_FUZZ_CASES = 500
+
+
+@pytest.fixture(scope="module")
+def fuzz_workload():
+    """500 fuzz queries plus the serial batch engine's wire answers."""
+    cases = generate_cases(seed=7, iterations=N_FUZZ_CASES)
+    queries = [
+        PairQuery(case.ref1, case.nest1, case.ref2, case.nest2)
+        for case in cases
+    ]
+    serial = analyze_batch(queries, jobs=1, want_directions=True)
+    expected = [
+        protocol.report_to_wire(
+            DependenceReport.from_results(
+                str(outcome.query.ref1),
+                str(outcome.query.ref2),
+                outcome.result,
+                outcome.directions,
+            )
+        )
+        for outcome in serial.outcomes
+    ]
+    calls = [
+        (
+            "analyze",
+            {
+                "query": query_to_dict(q.ref1, q.nest1, q.ref2, q.nest2),
+                "directions": True,
+            },
+        )
+        for q in queries
+    ]
+    return calls, expected
+
+
+class TestNetchaosStorm:
+    """The acceptance storm, in-process: the 500-query fuzz workload
+    through a seeded chaos proxy in front of a daemon that is replaced
+    on the same port halfway through.  Zero lost queries, bit-identical
+    answers: the resilient client absorbs every injected fault and the
+    restart."""
+
+    CHUNK = 25
+
+    def test_storm_with_a_daemon_restart_is_bit_identical(self, fuzz_workload):
+        calls, expected = fuzz_workload
+        first = _RunningServer()
+        # Rates are calibrated to the retry budget: a chunk of 25 calls
+        # is ~50 frames per round, so the per-round survival probability
+        # at ~1.3% fatal faults per frame stays above one half and every
+        # failed round still banks the answers that arrived before the
+        # cut.  drop_rate stays tiny because every dropped frame costs
+        # the client a full socket timeout before it can retry.
+        plan = NetFaultPlan(
+            seed=13,
+            delay_rate=0.02,
+            drop_rate=0.001,
+            reset_rate=0.006,
+            torn_rate=0.006,
+            delay_s=0.005,
+        )
+        proxy = _RunningProxy(plan, first)
+        second = None
+        try:
+            client = _storm_client(
+                proxy.endpoint,
+                retry=RetryPolicy(
+                    attempts=12, base_delay_s=0.01, deadline_s=120.0
+                ),
+                breaker=CircuitBreaker(failure_threshold=10_000),
+            )
+            results = []
+            with client:
+                for start in range(0, len(calls), self.CHUNK):
+                    if start == len(calls) // 2:
+                        # Mid-storm: the daemon drains away and a fresh
+                        # one takes its port, while the proxy keeps
+                        # mangling the client link.
+                        assert first.stop() == 0
+                        second = _RunningServer(
+                            ServeConfig(
+                                announce=False, port=first.server.bound_port
+                            )
+                        )
+                    results.extend(
+                        client.call_many(calls[start : start + self.CHUNK])
+                    )
+                reconnects = client.registry.get("client.reconnects")
+            assert len(results) == len(expected)
+            mismatches = [
+                index
+                for index, (got, want) in enumerate(zip(results, expected))
+                if got != want
+            ]
+            assert mismatches == [], f"{len(mismatches)} answers diverged"
+            # The run must actually have been stormy, or it proves nothing.
+            assert proxy.proxy.injection_log(), "no faults injected"
+            assert reconnects > 0, "chaos never forced a reconnect"
+        finally:
+            proxy.stop()
+            first.stop()
+            if second is not None:
+                assert second.stop() == 0
 
 
 class TestUpstreamDeath:

@@ -1,18 +1,15 @@
 """The wire protocol's op table (repro.serve.protocol.OPS).
 
-Server dispatch, router routing, client retry eligibility and the
-``repro query`` verb all read one declaration.  These tests assert the
-table's properties over every op at once, so an op added to the table
-is checked without a new test:
+Server dispatch, client retry eligibility and the ``repro query`` verb
+all read one declaration.  These tests assert the table's properties
+over every op at once, so an op added to the table is checked without
+a new test:
 
-* every op has a handler on a worker, and every control op one on the
-  router;
-* every op answers, both from a bare worker and through a router;
-* only pure ops are retried by the client;
-* every stateful op is pinned: it shards on its session id alone.
+* every op has a handler on the server;
+* every op answers;
+* only pure ops are retried by the client.
 """
 
-import asyncio
 import inspect
 
 import pytest
@@ -20,10 +17,8 @@ import pytest
 from repro.cli import main
 from repro.serve import protocol
 from repro.serve.client import PURE_OPS, Client, RetryPolicy
-from repro.serve.router import ClusterRouter
 from repro.serve.server import DependenceServer
 
-from tests.test_cluster import _RunningCluster
 from tests.test_serve_server import SOURCE, _RunningServer
 
 OPS = protocol.OPS
@@ -69,14 +64,6 @@ def test_every_op_has_a_server_handler():
         assert inspect.iscoroutinefunction(handler) is not op.control, op.name
 
 
-def test_every_control_op_has_a_router_handler():
-    for op in OPS.values():
-        if op.control:
-            assert asyncio.iscoroutinefunction(
-                getattr(ClusterRouter, op.handler)
-            ), op.name
-
-
 def test_only_pure_ops_are_retried():
     client = Client.__new__(Client)  # no connection: only the policy
     client.retry = RetryPolicy(attempts=3)
@@ -84,30 +71,6 @@ def test_only_pure_ops_are_retried():
         assert client._retriable(op.name, 0, None) is op.pure, op.name
     assert PURE_OPS == {name for name, op in OPS.items() if op.pure}
     assert {"shutdown", "open_session", "update_source"}.isdisjoint(PURE_OPS)
-
-
-def test_every_stateful_op_is_pinned_to_its_session():
-    homes = set()
-    for op in OPS.values():
-        if op.control or not op.stateful:
-            continue
-        one = op.shard_key({op.session_param: "s-7", "source": "a"})
-        other = op.shard_key({op.session_param: "s-7", "source": "b", "epoch": 3})
-        assert one == other, op.name
-        assert op.shard_key({op.session_param: "s-8"}) != one, op.name
-        # Without a session id there is no stable home.
-        assert op.shard_key({}) is None, op.name
-        assert op.shard_key({op.session_param: ""}) is None, op.name
-        homes.add(one)
-    # open, update and graph of one session share one home.
-    assert len(homes) == 1
-
-
-def test_stateless_ops_shard_on_their_params():
-    params = {"source": SOURCE, "pair": 0}
-    for op in OPS.values():
-        if not op.control and not op.stateful:
-            assert op.shard_key(params) == protocol.shard_key(params)
 
 
 def test_query_verb_offers_every_one_shot_op(capsys):
@@ -124,11 +87,16 @@ def test_query_verb_offers_every_one_shot_op(capsys):
     capsys.readouterr()
 
 
-def _call_every_op(client: Client) -> dict:
-    return {op: client.call(op, params) for op, params in SAMPLE_PARAMS.items()}
-
-
-def _check_answers(answers: dict) -> None:
+def test_every_op_answers_on_a_worker():
+    running = _RunningServer()
+    try:
+        with running.client() as client:
+            answers = {
+                op: client.call(op, params)
+                for op, params in SAMPLE_PARAMS.items()
+            }
+    finally:
+        assert running.stop() == 0
     assert answers["health"]["status"] == "ok"
     assert answers["analyze"]["dependent"] is True
     assert answers["explain"]["report"] == answers["analyze"]
@@ -137,29 +105,5 @@ def _check_answers(answers: dict) -> None:
     assert answers["update_source"]["session"] == "t1"
     assert answers["graph"]["session"] == "t1"
     assert answers["shutdown"] == {"draining": True}
-
-
-def test_every_op_answers_on_a_worker():
-    running = _RunningServer()
-    try:
-        with running.client() as client:
-            answers = _call_every_op(client)
-    finally:
-        assert running.stop() == 0
-    _check_answers(answers)
     requests = answers["stats"]["registry"]["families"]["serve.requests"]
     assert requests == COUNTED
-
-
-def test_every_op_answers_through_a_router():
-    cluster = _RunningCluster(2)
-    try:
-        with cluster.client() as client:
-            answers = _call_every_op(client)
-    finally:
-        cluster.stop()
-    _check_answers(answers)
-    assert answers["health"]["cluster"] is True
-    # ``health`` counts twice: cluster:// probes it on connect.
-    requests = answers["stats"]["router"]["families"]["cluster.requests"]
-    assert requests == COUNTED | {"health": 2}

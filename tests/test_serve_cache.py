@@ -228,8 +228,8 @@ class TestServeCachePersistence:
 
 
 class TestOneImageFormat:
-    """``batch --warm-cache`` files, the serve store and spill images
-    are one format: each loads wherever the others do."""
+    """``batch --warm-cache`` files and the serve store are one
+    format: each loads wherever the other does."""
 
     def test_warm_cache_file_warms_the_daemon(self, tmp_path):
         memo = Memoizer()
@@ -253,15 +253,6 @@ class TestOneImageFormat:
         assert memo is not None
         assert _entries(memo) == _entries(cache.memoizer)
 
-    def test_spill_image_loads_as_warm_cache(self, tmp_path):
-        cache = ServeCache()
-        count = _warm(cache)
-        path = tmp_path / "w0.memo.json"
-        assert cache.spill(path) == count
-        memo = load_memoizer_safe(path)
-        assert memo is not None
-        assert _entries(memo) == _entries(cache.memoizer)
-
     def test_used_stamps_survive_when_present(self, tmp_path):
         path = tmp_path / "serve-cache.json"
         cache = ServeCache(path=path)
@@ -280,7 +271,7 @@ class TestOneImageFormat:
 
 class TestSharedTableConcurrency:
     def test_snapshots_and_writes_under_concurrent_inserts(self, tmp_path):
-        """Copies, saves and spills run safely against live inserts, no
+        """Copies and saves run safely against live inserts, no
         insert is lost, and every copy is a subset of the final table."""
         warmed = ServeCache()
         _warm(warmed)
@@ -304,7 +295,6 @@ class TestSharedTableConcurrency:
                 while True:
                     copies.append(cache.memoizer.copy())
                     cache.save()
-                    cache.spill(tmp_path / "spill.memo.json")
                     if done.is_set():
                         return
             except Exception as err:  # pragma: no cover - the failure

@@ -1,11 +1,8 @@
 """Tests for the unified client (repro.serve.client.Client).
 
-One ``Client`` class, three endpoint schemes — ``tcp://`` (a bare
-worker), ``cluster://`` (a router, verified via the protocol-v2
-capability frame) and ``stdio:`` (a private child daemon) — with
-identical call/call_many/analyze semantics.  ``ServeClient`` and
-``repro.api.connect()`` remain as the backward-compatible spellings
-(the latter deprecated).
+One ``Client`` class, two endpoint schemes — ``tcp://`` (a running
+daemon) and ``stdio:`` (a private child daemon) — with identical
+call/call_many/analyze semantics.
 
 The resilience half exercises the client against a *scripted* TCP
 frontend — a hand-rolled socket server whose per-connection behavior
@@ -27,7 +24,6 @@ from repro.serve.client import (
     Client,
     PURE_OPS,
     RetryPolicy,
-    ServeClient,
     ServeError,
     TransportError,
     parse_endpoint,
@@ -40,9 +36,6 @@ class TestParseEndpoint:
     def test_tcp(self):
         assert parse_endpoint("tcp://127.0.0.1:4733") == ("tcp", "127.0.0.1", 4733)
 
-    def test_cluster(self):
-        assert parse_endpoint("cluster://example:80") == ("cluster", "example", 80)
-
     def test_stdio(self):
         assert parse_endpoint("stdio:") == ("stdio", None, None)
         assert parse_endpoint("stdio://") == ("stdio", None, None)
@@ -53,7 +46,7 @@ class TestParseEndpoint:
             "http://x:1",
             "tcp://missingport",
             "tcp://:99",
-            "cluster://host:notaport",
+            "cluster://h:1",
             "127.0.0.1:4733",
             "",
         ],
@@ -84,15 +77,6 @@ class TestTcpEndpoint:
         assert results[0]["dependent"] is True
         assert isinstance(results[1], ServeError)
         assert results[2]["status"] == "ok"
-
-    def test_cluster_scheme_rejects_a_bare_worker(self, running):
-        """cluster:// must point at a router; a worker's health frame
-        advertises ``cluster: false`` and the client refuses it."""
-        endpoint = (
-            f"cluster://{running.server.bound_host}:{running.server.bound_port}"
-        )
-        with pytest.raises(ValueError, match="not a cluster router"):
-            Client(endpoint)
 
 
 @pytest.fixture
@@ -400,27 +384,6 @@ class TestRetryAndReconnect:
 
 
 class TestBackCompat:
-    def test_serve_client_is_a_tcp_client(self, running):
-        client = ServeClient.connect(
-            running.server.bound_host,
-            running.server.bound_port,
-            retry_for=5.0,
-        )
-        with client:
-            assert isinstance(client, Client)
-            assert client.scheme == "tcp"
-            assert client.analyze(source=SOURCE, pair=0)["dependent"] is True
-
-    def test_api_connect_warns_and_still_works(self, running):
-        import repro.api
-
-        with pytest.warns(DeprecationWarning, match="Client\\('tcp://"):
-            client = repro.api.connect(
-                running.server.bound_host, running.server.bound_port
-            )
-        with client:
-            assert client.analyze(source=SOURCE, pair=0)["dependent"] is True
-
     def test_api_exports_the_unified_client(self):
         from repro.api import Client as ApiClient
 
