@@ -8,7 +8,11 @@ End-to-end, at the process level:
 2. fire 200 queries from 8 concurrent clients (each client pipelines
    the full stream) and assert every response is **bit-identical** to
    a serial ``analyze_batch`` run over the same queries;
-3. SIGTERM the daemon while a second wave of load is in flight and
+3. send the 200 queries again from one client with every array
+   renamed to ``r_<name>``, and assert each answer is the serial one
+   with ``r_`` on both refs and that all 200 were fast-lane hits: the
+   lane keys a query with its shared array name blanked;
+4. SIGTERM the daemon while a second wave of load is in flight and
    assert a clean drain: the process exits 0 and every response that
    did arrive is either a correct answer or an explicit
    ``shutting_down`` error — never garbage, never a hang.
@@ -158,6 +162,40 @@ def check_bit_identical(host: str, port: int, calls, expected) -> list[str]:
         if t.is_alive():
             failures.append(f"client {index} still running after 300s")
     return failures
+
+
+def check_renamed_repeats(host: str, port: int, calls, expected) -> list[str]:
+    """The stream again under ``r_``-prefixed array names, after the
+    bit-identity wave answered it: every request a fast-lane hit, every
+    answer the serial one under the new names."""
+
+    def rename(query: dict) -> dict:
+        return {
+            **query,
+            **{
+                ref: {**query[ref], "array": "r_" + query[ref]["array"]}
+                for ref in ("ref1", "ref2")
+            },
+        }
+
+    renamed = [
+        (op, {**params, "query": rename(params["query"])}) for op, params in calls
+    ]
+    with Client(f"tcp://{host}:{port}", timeout=120.0) as client:
+        before = fastlane_hits(client)
+        results = client.call_many(renamed)
+        hits = fastlane_hits(client) - before
+    for i, (got, want) in enumerate(zip(results, expected)):
+        want = {**want, "ref1": "r_" + want["ref1"], "ref2": "r_" + want["ref2"]}
+        if got != want:
+            return [f"renamed query {i}: {got!r} != {want!r}"]
+    if hits != len(calls):
+        return [f"{hits} fast-lane hits for {len(calls)} renamed repeats"]
+    return []
+
+
+def fastlane_hits(client) -> int:
+    return client.stats()["registry"]["scalars"].get("serve.fastlane.hits", 0)
 
 
 def check_sigterm_drain(proc, host, port, calls, expected) -> list[str]:
@@ -427,6 +465,15 @@ def main() -> int:
         print(
             f"ok: {N_CLIENTS * N_QUERIES} responses bit-identical to "
             "serial analyze_batch"
+        )
+
+        print(f"renamed repeats: {N_QUERIES} queries under r_<name> ...")
+        failures = check_renamed_repeats(host, port, calls, expected)
+        if failures:
+            print(f"FAIL: {failures[0]}", file=sys.stderr)
+            return 1
+        print(
+            f"ok: {N_QUERIES} renamed repeats bit-identical, all fast-lane hits"
         )
 
         print("SIGTERM mid-load ...")

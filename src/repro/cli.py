@@ -625,9 +625,43 @@ def _cmd_deps(args: argparse.Namespace) -> int:
     return EXIT_DEPENDENCE if count else EXIT_OK
 
 
+# glibc <malloc.h> parameters, and the daemon's values for them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_SERVE_TRIM_THRESHOLD = 256 * 1024 * 1024
+_SERVE_MMAP_THRESHOLD = 1024 * 1024
+
+
+def _keep_heap_top() -> None:
+    """Stop glibc from trimming this process's heap top.
+
+    Every socket read of the event loop allocates a 256 KiB buffer and
+    frees it.  By default glibc then hands the freed heap top back to
+    the kernel and faults it in again on the next read: minor page
+    faults and system time per request that depend on where unrelated
+    long-lived objects happen to sit.  A fixed trim threshold also
+    stops glibc from raising its mmap threshold on its own, which would
+    leave each buffer a fresh mapping (the same faults), so the mmap
+    threshold is set above the buffer too.  Where the C library has no
+    ``mallopt`` this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _SERVE_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _SERVE_TRIM_THRESHOLD)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import DependenceServer, ServeConfig
 
+    # Here, not in DependenceServer: a test that runs the server inside
+    # its own process keeps its own allocator settings.
+    _keep_heap_top()
     config = ServeConfig(
         host=args.host,
         port=args.port,

@@ -324,6 +324,9 @@ class _StdioTransport:
         except (OSError, subprocess.TimeoutExpired):
             self._proc.kill()
             self._proc.wait(timeout=5)
+        finally:
+            if self._proc.stdout is not None:
+                self._proc.stdout.close()
 
 
 class Client:

@@ -70,16 +70,24 @@ from repro.serve.protocol import ErrorCode, ProtocolError, Request
 __all__ = ["ServeConfig", "DependenceServer"]
 
 
+#: A fast-lane entry: a result's canonical bytes up to and including
+#: ``"ref1":``, then the two reference tails (each ref string minus its
+#: array name, such as ``[i + 1]``).
+_LaneEntry = tuple[bytes, str, str]
+
+
 class _WireFastLane:
     """Pre-serialized answers for repeated ``analyze`` requests.
 
-    Maps the request's canonical params text to the ``canonical_json``
-    bytes of a prior non-degraded result.  A hit is answered by splicing
-    the cached bytes straight into a response frame — no report object,
-    no session, no executor hop, no admission bookkeeping.  The splice
-    is bit-identical to the slow path because the response encoding
-    sorts its top-level keys (``"id" < "ok" < "result"``) and the cached
-    segment *is* the slow path's own serialization of the result.
+    Keyed by :func:`_lane_key`: a query asked again under another array
+    name is a repeat, as it is for the memo.  A hit is answered by
+    splicing the entry straight into a response frame (:func:`_ok_frame`)
+    — no report object, no session, no executor hop, no admission
+    bookkeeping.  The splice is bit-identical to the slow path under
+    the request's own name: the response encoding sorts its keys
+    (``"id" < "ok" < "result"``, and ``"ref1" < "ref2"`` sort last in a
+    report), and the stored bytes *are* the slow path's own
+    serialization of the result.
 
     Bounded LRU: insertion order doubles as recency (hits re-insert).
     Only ever touched from the event loop, so no lock is needed.
@@ -89,26 +97,67 @@ class _WireFastLane:
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
-        self._entries: dict[str, bytes] = {}
+        self._entries: dict[str, _LaneEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> bytes | None:
+    def get(self, key: str) -> _LaneEntry | None:
         entries = self._entries
-        data = entries.get(key)
-        if data is not None:
+        entry = entries.get(key)
+        if entry is not None:
             del entries[key]  # re-insert: dict order is recency order
-            entries[key] = data
-        return data
+            entries[key] = entry
+        return entry
 
-    def put(self, key: str, data: bytes) -> None:
+    def put(self, key: str, entry: _LaneEntry) -> None:
         entries = self._entries
         if key in entries:
             del entries[key]
         elif len(entries) >= self.capacity:
             del entries[next(iter(entries))]
-        entries[key] = data
+        entries[key] = entry
+
+
+def _lane_key(params: dict) -> tuple[str, str]:
+    """The fast-lane key of ``analyze`` params, and the name it blanked.
+
+    A ``query`` whose two refs name one array (a string) keys on its
+    canonical text with both names blanked, so the same pattern under
+    any array name is one entry.  Anything else — ``source`` requests,
+    names that differ or are not strings — keys on its own canonical
+    text and blanks the name ``""``.
+    """
+    query = params.get("query")
+    if isinstance(query, dict):
+        ref1, ref2 = query.get("ref1"), query.get("ref2")
+        if isinstance(ref1, dict) and isinstance(ref2, dict):
+            name = ref1.get("array")
+            if isinstance(name, str) and ref2.get("array") == name:
+                blanked = {
+                    **query,
+                    "ref1": {**ref1, "array": ""},
+                    "ref2": {**ref2, "array": ""},
+                }
+                return protocol.canonical_json({**params, "query": blanked}), name
+    return protocol.canonical_json(params), ""
+
+
+def _lane_entry(result: Any, name: str) -> _LaneEntry | None:
+    """Split a fresh ``analyze`` result into a fast-lane entry for
+    requests whose refs are named ``name``; None if it must not be
+    stored (degraded: a deadline miss must not become sticky)."""
+    if not isinstance(result, dict) or result.get("degraded", True):
+        return None
+    ref1, ref2 = result["ref1"], result["ref2"]
+    if not (ref1.startswith(name) and ref2.startswith(name)):
+        return None
+    data = protocol.canonical_json(result).encode("utf-8")
+    refs = (json.dumps(ref1) + ',"ref2":' + json.dumps(ref2) + "}").encode("utf-8")
+    if not data.endswith(b'"ref1":' + refs):
+        return None  # the refs are not the report's last keys
+    cut = len(name)
+    return data[: len(data) - len(refs)], ref1[cut:], ref2[cut:]
 
 
 class _IncrementalSessions:
@@ -133,20 +182,29 @@ class _IncrementalSessions:
         self.epochs: dict[str, int] = {}
 
 
-def _ok_frame(request_id: Any, result_bytes: bytes) -> bytes:
-    """Splice a cached result into a complete ``ok`` response line.
+def _ok_frame(request_id: Any, entry: _LaneEntry, name: str) -> bytes:
+    """Splice a fast-lane entry into a complete ``ok`` response line,
+    its refs named ``name``.
 
-    Bit-identical to ``encode_response(ok_response(id, result))``:
-    ``canonical_json`` sorts the top-level keys, which already appear
-    here in sorted order, and ``result_bytes`` is itself canonical.
+    Bit-identical to ``encode_response(ok_response(id, result))`` of
+    the slow path under that name: ``canonical_json`` sorts the keys,
+    which already appear here in sorted order, the stored bytes are
+    themselves canonical, and ``json.dumps`` writes each ref string as
+    ``canonical_json`` does.
     """
-    head = json.dumps(request_id, sort_keys=True, separators=(",", ":"))
-    return (
-        b'{"id":'
-        + head.encode("utf-8")
-        + b',"ok":true,"result":'
-        + result_bytes
-        + b"}\n"
+    head, tail1, tail2 = entry
+    id_text = json.dumps(request_id, sort_keys=True, separators=(",", ":"))
+    return b"".join(
+        (
+            b'{"id":',
+            id_text.encode("utf-8"),
+            b',"ok":true,"result":',
+            head,
+            json.dumps(name + tail1).encode("utf-8"),
+            b',"ref2":',
+            json.dumps(name + tail2).encode("utf-8"),
+            b"}}\n",
+        )
     )
 
 
@@ -447,17 +505,18 @@ class DependenceServer:
             return protocol.error_response(
                 request.id, ErrorCode.SHUTTING_DOWN, "server is draining"
             )
-        params_text = protocol.canonical_json(request.params)
         lane_key: str | None = None
+        name = ""
         if op == "analyze":
-            # Zero-copy fast lane: a repeated query is answered from the
-            # pre-serialized wire bytes of its previous answer, before
-            # admission — it costs no worker thread and no queue slot.
-            lane_key = params_text
-            cached = self.fastlane.get(lane_key)
-            if cached is not None:
+            # Zero-copy fast lane: a repeated query, under any array
+            # name, is answered from the pre-serialized wire bytes of its
+            # previous answer, before admission — it costs no worker
+            # thread and no queue slot.
+            lane_key, name = _lane_key(request.params)
+            entry = self.fastlane.get(lane_key)
+            if entry is not None:
                 self.registry.inc("serve.fastlane.hits")
-                return _ok_frame(request.id, cached)
+                return _ok_frame(request.id, entry, name)
         limit = self.config.max_inflight + self.config.queue_limit
         if self._admitted >= limit:
             self.registry.inc("serve.backpressure")
@@ -479,23 +538,27 @@ class DependenceServer:
                     request, session, explain_lock, inc_sessions
                 )
             else:
-                flight_key = (op, params_text)
+                # Coalesce identical params only: the answer names the
+                # request's arrays.  A lane key and the name it blanked
+                # pin the params exactly, so they need no second encode.
+                flight_key = (
+                    (op, lane_key, name)
+                    if lane_key is not None
+                    else (op, protocol.canonical_json(request.params))
+                )
                 result = await self.flight.run(
                     flight_key,
                     lambda: self._run_analysis_op(
                         request, session, explain_lock, inc_sessions
                     ),
                 )
-            if (
-                lane_key is not None
-                and isinstance(result, dict)
-                and not result.get("degraded", True)
-            ):
+            if lane_key is not None:
                 # Serialize the result once: it becomes both this
                 # response's payload and the fast-lane entry.
-                data = protocol.canonical_json(result).encode("utf-8")
-                self.fastlane.put(lane_key, data)
-                return _ok_frame(request.id, data)
+                entry = _lane_entry(result, name)
+                if entry is not None:
+                    self.fastlane.put(lane_key, entry)
+                    return _ok_frame(request.id, entry, name)
             return protocol.ok_response(request.id, result)
         except ProtocolError as err:
             self.registry.inc_family("serve.errors", err.code)
@@ -543,11 +606,29 @@ class DependenceServer:
         """``query`` serde object, or ``source`` + ``pair`` index."""
         if "query" in params:
             try:
-                return query_from_dict(params["query"])
+                ref1, nest1, ref2, nest2 = query_from_dict(params["query"])
             except (KeyError, TypeError, ValueError) as err:
                 raise ProtocolError(
                     ErrorCode.BAD_REQUEST, f"malformed query: {err!r}"
                 ) from err
+            # build_problem's preconditions, checked at the wire
+            # boundary.  The fast lane relies on the first: it blanks
+            # one shared name.
+            if ref1.array != ref2.array:
+                defect = (
+                    "references name different arrays "
+                    f"({ref1.array!r} vs {ref2.array!r})"
+                )
+            elif ref1.rank != ref2.rank:
+                defect = (
+                    f"rank mismatch for array {ref1.array!r}: "
+                    f"{ref1.rank} vs {ref2.rank}"
+                )
+            else:
+                return ref1, nest1, ref2, nest2
+            raise ProtocolError(
+                ErrorCode.BAD_REQUEST, f"malformed query: {defect}"
+            )
         if "source" in params:
             program = self._compile(params["source"], params.get("lang"))
             pairs = reference_pairs(program)

@@ -339,3 +339,43 @@ class TestEndpointFlag:
             repro_main(argv)
         assert exc.value.code == 2
         assert "unsupported endpoint" in capsys.readouterr().err
+
+
+class TestServeHeap:
+    """``repro serve`` raises glibc's heap trim and mmap thresholds
+    once, at start-up, through ``mallopt``; a C library without it is
+    left as it is."""
+
+    class _Mallopt:
+        def __init__(self):
+            self.calls = []
+
+        def __call__(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    def test_raises_the_trim_threshold(self, monkeypatch):
+        import ctypes
+        import types
+
+        from repro import cli
+
+        mallopt = self._Mallopt()
+        monkeypatch.setattr(
+            ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt)
+        )
+        cli._keep_heap_top()
+        assert mallopt.calls == [
+            (-3, 1024 * 1024),  # M_MMAP_THRESHOLD
+            (-1, 256 * 1024 * 1024),  # M_TRIM_THRESHOLD
+        ]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+    def test_a_libc_without_mallopt_is_left_alone(self, monkeypatch):
+        import ctypes
+        import types
+
+        from repro import cli
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        cli._keep_heap_top()  # no AttributeError

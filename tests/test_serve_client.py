@@ -12,6 +12,7 @@ across reconnects are deterministic rather than raced.
 
 import json
 import socket
+import subprocess
 import threading
 
 import pytest
@@ -89,6 +90,7 @@ def running():
 class TestStdioEndpoint:
     def test_full_call_surface_over_pipes(self):
         with Client("stdio:") as client:
+            child = client._transport._proc
             health = client.health()
             assert health["status"] == "ok"
             assert health["cluster"] is False
@@ -98,6 +100,29 @@ class TestStdioEndpoint:
                 [("analyze", {"source": SOURCE, "pair": 0})] * 3
             )
             assert all(r == report for r in many)
+        # close() drained the child and released both of its pipes.
+        assert child.returncode == 0
+        assert child.stdin.closed and child.stdout.closed
+
+    def test_close_releases_the_pipe_when_the_child_must_be_killed(self):
+        client = Client("stdio:")
+        child = client._transport._proc
+        assert client.health()["status"] == "ok"
+        wait = child.wait
+        waits: list = []
+
+        def stuck_once(timeout=None):
+            # The first wait is the graceful drain: pretend it hung.
+            waits.append(timeout)
+            if len(waits) == 1:
+                raise subprocess.TimeoutExpired(child.args, timeout)
+            return wait(timeout=timeout)
+
+        child.wait = stuck_once
+        client.close()
+        assert len(waits) == 2, "close() should have killed the child"
+        assert child.returncode is not None
+        assert child.stdout.closed
 
 
 class _ScriptedFrontend:

@@ -22,9 +22,10 @@ import time
 
 import pytest
 
-from repro.api import DependenceReport
+from repro.api import AnalysisSession, DependenceReport
 from repro.core.engine import analyze_batch, queries_from_suite
-from repro.ir.serde import query_to_dict
+from repro.ir.program import reference_pairs
+from repro.ir.serde import query_from_dict, query_to_dict
 from repro.oracle.enumerate import oracle_direction_vectors
 from repro.perfect import load_suite
 from repro.serve import protocol
@@ -177,15 +178,19 @@ class TestBasicOps:
         assert exc.value.code == protocol.ErrorCode.BAD_REQUEST
 
 
-def _raw_call(running, payload: bytes) -> dict:
-    """One raw request line, one decoded response: no client sugar."""
+def _raw_line(running, payload: bytes) -> bytes:
+    """One raw request line, its raw response line: no client sugar."""
     with socket.create_connection(
         (running.server.bound_host, running.server.bound_port), timeout=10
     ) as sock:
         handle = sock.makefile("rwb")
         handle.write(payload)
         handle.flush()
-        return json.loads(handle.readline())
+        return handle.readline()
+
+
+def _raw_call(running, payload: bytes) -> dict:
+    return json.loads(_raw_line(running, payload))
 
 
 class TestWireErrors:
@@ -212,6 +217,176 @@ class TestWireErrors:
         _raw_call(running, b"garbage\n")
         with running.client() as client:
             assert client.health()["status"] == "ok"
+
+
+def _renamed(query: dict, name) -> dict:
+    """``query`` with both refs' array renamed to ``name``."""
+    return {
+        **query,
+        "ref1": {**query["ref1"], "array": name},
+        "ref2": {**query["ref2"], "array": name},
+    }
+
+
+def _fastlane_hits(client) -> int:
+    return client.stats()["registry"]["scalars"].get("serve.fastlane.hits", 0)
+
+
+# One nest with a loop variable ``i`` and a symbol ``n``: array names
+# that collide with either must still be answered under their own name.
+SYMBOLIC_SOURCE = """
+read(n)
+for i = 1 to n do
+  a[i + 1] = a[i]
+  b[i] = b[i + 2]
+end
+"""
+
+
+def _symbolic_query() -> dict:
+    from repro.opt import compile_source
+
+    site1, site2 = reference_pairs(compile_source(SYMBOLIC_SOURCE).program)[0]
+    return query_to_dict(site1.ref, site1.nest, site2.ref, site2.nest)
+
+
+class TestRenamingFastLane:
+    """The wire fast lane keys an ``analyze`` query on its canonical
+    text with the refs' one shared array name blanked: the same pattern
+    under another name is a repeat, answered from the lane under the
+    request's own name, byte for byte as the slow path would."""
+
+    @pytest.fixture(scope="class")
+    def patterns(self):
+        """20 suite queries, no two of which differ only in their name."""
+        queries = queries_from_suite(load_suite(include_symbolic=True, scale=0.02))
+        distinct: dict[str, dict] = {}
+        for q in queries:
+            wire = query_to_dict(q.ref1, q.nest1, q.ref2, q.nest2)
+            distinct.setdefault(protocol.canonical_json(_renamed(wire, "")), wire)
+        assert len(distinct) >= 20
+        return list(distinct.values())[:20]
+
+    @staticmethod
+    def _expected_line(request_id, query: dict) -> bytes:
+        """The slow path's response line: an in-process analysis of the
+        query under its own names, encoded as the daemon encodes it."""
+        report = AnalysisSession().analyze(
+            *query_from_dict(query), want_directions=True
+        )
+        return protocol.encode_response(
+            protocol.ok_response(request_id, protocol.report_to_wire(report))
+        )
+
+    def _assert_renamed_hits(self, running, query: dict, names) -> None:
+        """Ask ``query`` under its own name, then under each of
+        ``names``: every renamed ask is one lane hit whose raw line is
+        the slow path's under that name."""
+
+        def ask(query: dict, request_id: int) -> bytes:
+            params = {"query": query, "directions": True}
+            return _raw_line(
+                running, protocol.encode_request("analyze", params, request_id)
+            )
+
+        with running.client() as client:
+            assert ask(query, 0) == self._expected_line(0, query)
+            for request_id, name in enumerate(names, start=1):
+                renamed = _renamed(query, name)
+                before = _fastlane_hits(client)
+                line = ask(renamed, request_id)
+                assert _fastlane_hits(client) == before + 1, name
+                assert line == self._expected_line(request_id, renamed), name
+
+    def test_renamed_repeats_are_hits_and_bit_identical(self, running, patterns):
+        for index, query in enumerate(patterns):
+            self._assert_renamed_hits(
+                running, query, (f"r{index}_x", f"other{index}")
+            )
+        with running.client() as client:
+            stats = client.stats()
+        assert stats["server"]["fastlane_entries"] == len(patterns)
+        assert stats["registry"]["scalars"]["serve.fastlane.hits"] == 2 * len(
+            patterns
+        )
+
+    def test_names_that_need_escaping_or_collide(self, running):
+        """JSON escapes, a non-ASCII name, and names equal to the
+        query's loop variable (``i``) and symbol (``n``)."""
+        self._assert_renamed_hits(
+            running, _symbolic_query(), ("ä", 'a"b', "a\\b", "i", "n")
+        )
+
+    def test_one_entry_per_pattern(self, running):
+        query = _symbolic_query()
+        with running.client() as client:
+            answers = [
+                client.call("analyze", {"query": _renamed(query, name)})
+                for name in ("a", "b", "c")
+            ]
+            stats = client.stats()
+        assert [answer["ref1"] for answer in answers] == [
+            "a[i + 1]",
+            "b[i + 1]",
+            "c[i + 1]",
+        ]
+        assert stats["server"]["fastlane_entries"] == 1
+        assert stats["registry"]["scalars"]["serve.fastlane.hits"] == 2
+
+    def test_source_requests_keep_text_keys(self, running):
+        with running.client() as client:
+            first = client.analyze(source=SYMBOLIC_SOURCE, pair=0)
+            assert _fastlane_hits(client) == 0
+            assert client.analyze(source=SYMBOLIC_SOURCE, pair=0) == first
+            assert _fastlane_hits(client) == 1
+            other = client.analyze(source=SYMBOLIC_SOURCE, pair=1)
+            assert _fastlane_hits(client) == 1
+        assert first["ref1"] == "a[i + 1]"
+        assert other["ref1"] == "b[i]"
+
+    def test_explain_is_never_laned(self, running):
+        query = _symbolic_query()
+        with running.client() as client:
+            client.call("analyze", {"query": query})
+            for name in ("a", "z"):
+                explained = client.call("explain", {"query": _renamed(query, name)})
+                assert explained["report"]["ref1"] == f"{name}[i + 1]"
+            stats = client.stats()
+        assert stats["server"]["fastlane_entries"] == 1  # the analyze
+        assert stats["registry"]["scalars"].get("serve.fastlane.hits", 0) == 0
+
+
+class TestMalformedPairs:
+    """A query whose refs name two arrays, or one array at two ranks,
+    is a caller's mistake: ``bad_request`` at the wire boundary, never
+    an ``internal_error`` from deep in the analyzer."""
+
+    @pytest.mark.parametrize("op", ["analyze", "explain"])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("names", "references name different arrays"),
+            ("rank", "rank mismatch for array 'a': 1 vs 2"),
+        ],
+    )
+    def test_is_a_bad_request(self, running, op, defect, message):
+        query = _symbolic_query()
+        ref2 = query["ref2"]
+        if defect == "names":
+            query["ref2"] = {**ref2, "array": "b"}
+        else:
+            query["ref2"] = {**ref2, "subscripts": ref2["subscripts"] * 2}
+        with running.client() as client:
+            for _ in range(2):
+                with pytest.raises(ServeError) as exc:
+                    client.call(op, {"query": query})
+                assert exc.value.code == protocol.ErrorCode.BAD_REQUEST
+                assert exc.value.message.startswith("malformed query: ")
+                assert message in exc.value.message
+            stats = client.stats()
+        errors = stats["registry"]["families"]["serve.errors"]
+        assert errors == {protocol.ErrorCode.BAD_REQUEST: 2}
+        assert stats["server"]["fastlane_entries"] == 0
 
 
 class TestNegotiation:
@@ -654,6 +829,23 @@ class TestCoalescing:
             handle.stop()
         assert all(r == results[0] for r in results)
         assert stats["registry"]["scalars"]["serve.coalesced"] == 3
+
+    def test_renamed_inflight_requests_do_not_share_an_answer(self):
+        """Two in-flight asks of one pattern under two names share a
+        lane key but not a computation: each answer names its own
+        arrays."""
+        query = _symbolic_query()
+        handle = _RunningServer(ServeConfig(announce=False), cls=_SlowServer)
+        try:
+            with handle.client() as client:
+                results = client.call_many(
+                    [("analyze", {"query": _renamed(query, name)}) for name in "aab"]
+                )
+                stats = client.stats()
+        finally:
+            handle.stop()
+        assert [r["ref1"] for r in results] == ["a[i + 1]", "a[i + 1]", "b[i + 1]"]
+        assert stats["registry"]["scalars"]["serve.coalesced"] == 1
 
 
 class TestShutdownDrain:
