@@ -39,7 +39,7 @@ from repro.ir.loops import LoopNest
 from repro.ir.program import AccessSite, Program
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.render import format_trace
-from repro.obs.sinks import NULL_SINK, CollectingSink, TraceSink
+from repro.obs.sinks import CollectingSink, TraceSink
 from repro.robust.budget import ResourceBudget
 
 __all__ = [
@@ -295,6 +295,31 @@ class ExplainResult:
         return format_trace(self.events)
 
 
+def _report(
+    analyzer: DependenceAnalyzer,
+    ref1: ArrayRef,
+    nest1: LoopNest,
+    ref2: ArrayRef,
+    nest2: LoopNest,
+    want_directions: bool,
+) -> DependenceReport:
+    """One query's :class:`DependenceReport` from ``analyzer``."""
+    result = analyzer.analyze(ref1, nest1, ref2, nest2)
+    directions = None
+    if want_directions:
+        if result.dependent:
+            directions = analyzer.directions(ref1, nest1, ref2, nest2)
+        else:
+            # The documented contract (and the batch engine's
+            # behavior): requested directions on an independent
+            # pair are the empty set, not "not computed".
+            directions = DirectionResult(
+                vectors=frozenset(),
+                n_common=nest1.common_prefix_depth(nest2),
+            )
+    return DependenceReport.from_results(str(ref1), str(ref2), result, directions)
+
+
 class AnalysisSession:
     """A configured analyzer with persistent memo tables and metrics.
 
@@ -318,17 +343,21 @@ class AnalysisSession:
             )
         else:
             self.memoizer = None
-        self.analyzer = DependenceAnalyzer(
+        self.analyzer = self._new_analyzer(self.config.sink)
+        # Lazily created by update(): the incremental re-analysis
+        # engine, sharing this session's memo table.
+        self._incremental = None
+
+    def _new_analyzer(self, sink: TraceSink | None) -> DependenceAnalyzer:
+        """An analyzer on the session's memo table and configuration."""
+        return DependenceAnalyzer(
             memoizer=self.memoizer,
             fm_budget=self.config.fm_budget,
             eliminate_unused=self.config.eliminate_unused,
             want_witness=self.config.want_witness,
-            sink=self.config.sink,
+            sink=sink,
             budget=self.config.budget,
         )
-        # Lazily created by update(): the incremental re-analysis
-        # engine, sharing this session's memo table.
-        self._incremental = None
 
     @property
     def stats(self) -> AnalyzerStats:
@@ -350,21 +379,8 @@ class AnalysisSession:
         want_directions: bool = False,
     ) -> DependenceReport:
         """Is a dependence possible between the two references?"""
-        result = self.analyzer.analyze(ref1, nest1, ref2, nest2)
-        directions = None
-        if want_directions:
-            if result.dependent:
-                directions = self.analyzer.directions(ref1, nest1, ref2, nest2)
-            else:
-                # The documented contract (and the batch engine's
-                # behavior): requested directions on an independent
-                # pair are the empty set, not "not computed".
-                directions = DirectionResult(
-                    vectors=frozenset(),
-                    n_common=nest1.common_prefix_depth(nest2),
-                )
-        return DependenceReport.from_results(
-            str(ref1), str(ref2), result, directions
+        return _report(
+            self.analyzer, ref1, nest1, ref2, nest2, want_directions
         )
 
     def analyze_sites(
@@ -456,17 +472,22 @@ class AnalysisSession:
         return self._incremental_session().update(program, verify=verify)
 
     def update_source(
-        self, text: str, verify: bool = False, name: str = "<source>"
+        self,
+        text: str,
+        verify: bool = False,
+        name: str = "<source>",
+        lang: str = "loop",
     ):
-        """:meth:`update` on ``.loop`` source text, recompiling only the
-        top-level statements that changed since the last text
+        """:meth:`update` on source text in ``lang``; ``.loop`` text
+        recompiles only the top-level statements that changed since
+        the last text
         (:meth:`repro.core.incremental.IncrementalSession.update_source`).
 
-        Raises the full compile's :class:`~repro.lang.errors.LangError`
-        on a bad edit and keeps the last program and graph.
+        Raises :class:`~repro.lang.errors.LangError` on a bad edit and
+        keeps the last program and graph.
         """
         return self._incremental_session().update_source(
-            text, verify=verify, name=name
+            text, verify=verify, name=name, lang=lang
         )
 
     def _incremental_session(self):
@@ -502,20 +523,20 @@ class AnalysisSession:
     ) -> ExplainResult:
         """Answer one query and capture its full decision trace.
 
-        Works regardless of the session's configured sink: events are
+        The query runs on an analyzer of its own over the session's
+        memo table, so queries that other threads run on the session
+        meanwhile stay out of the trace; its statistics are folded into
+        the session's.  The trace's query ids count from 0.  Works
+        regardless of the session's configured sink: events are
         collected locally (and forwarded to the configured sink too,
         when one is active).
         """
         collector = CollectingSink()
+        analyzer = self._new_analyzer(collector)
+        report = _report(analyzer, ref1, nest1, ref2, nest2, want_directions)
+        self.stats.merge(analyzer.stats)
         outer = self.analyzer.sink
-        self.analyzer.sink = collector
-        try:
-            report = self.analyze(
-                ref1, nest1, ref2, nest2, want_directions=want_directions
-            )
-        finally:
-            self.analyzer.sink = outer
-        if outer is not NULL_SINK and getattr(outer, "enabled", False):
+        if outer.enabled:
             for event in collector.events:
                 outer.emit(event)
         return ExplainResult(report=report, events=collector.events)

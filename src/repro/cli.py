@@ -82,12 +82,11 @@ from pathlib import Path
 
 from repro.api import AnalysisSession
 from repro.core.analyzer import DependenceAnalyzer
-from repro.core.kinds import classify_pair
+from repro.core.graph import build_graph
 from repro.core.memo import Memoizer
 from repro.core.parallel import analyze_parallelism
 from repro.ir.program import Program, reference_pairs
 from repro.lang.errors import LangError
-from repro.opt import compile_source
 
 __all__ = [
     "main",
@@ -123,39 +122,19 @@ def _read_source(path: str) -> tuple[str, str]:
     return Path(path).read_text(), path
 
 
-def _extract(path: str, lang: str | None):
-    """Extract a real-source (or .loop) file, warnings to stderr.
+def _load_program(path: str, lang: str | None = None) -> Program:
+    """The file's program, its skip records as warnings on stderr.
 
-    A file-level parse failure is a usage error for the one-file
-    commands, so it is re-raised as :class:`ParseError` here (batch
-    callers that prefer to keep going use repro.frontends directly).
+    A file that parsed nothing is a usage error: :class:`ParseError`
+    (:func:`repro.frontends.extract_or_raise`).
     """
-    from repro.frontends import SkipReason, extract_source
-    from repro.lang.errors import ParseError
+    from repro.frontends import extract_or_raise
 
     text, name = _read_source(path)
-    language = _resolve_lang(path, lang)
-    extraction = extract_source(text, lang=language, name=name)
-    if not extraction.program.statements and any(
-        record.reason == SkipReason.PARSE_ERROR
-        for record in extraction.skipped
-    ):
-        record = extraction.skipped[0]
-        raise ParseError(record.detail, record.line)
+    extraction = extract_or_raise(text, lang=_resolve_lang(path, lang), name=name)
     for record in extraction.skipped:
         print(f"warning: skipped {record}", file=sys.stderr)
-    return extraction
-
-
-def _load_program(path: str, lang: str | None = None) -> Program:
-    language = _resolve_lang(path, lang)
-    if language == "loop":
-        text, name = _read_source(path)
-        result = compile_source(text, name=name, strict=False)
-        for message in result.skipped:
-            print(f"warning: skipped {message}", file=sys.stderr)
-        return result.program
-    return _extract(path, language).program
+    return extraction.program
 
 
 def _add_lang_flag(parser: argparse.ArgumentParser) -> None:
@@ -443,8 +422,6 @@ def _cmd_vectorize(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    from repro.core.graph import build_graph
-
     program = _load_program(args.file, getattr(args, "lang", None))
     graph = build_graph(program, DependenceAnalyzer(memoizer=Memoizer()))
     print(graph.to_dot())
@@ -609,20 +586,17 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_deps(args: argparse.Namespace) -> int:
     program = _load_program(args.file, getattr(args, "lang", None))
-    analyzer = DependenceAnalyzer(memoizer=Memoizer())
-    count = 0
-    for site1, site2 in reference_pairs(program):
-        for edge in classify_pair(site1, site2, analyzer):
-            vector = "(" + " ".join(edge.vector) + ")"
-            carried = "carried" if edge.loop_carried else "loop-independent"
-            print(
-                f"{edge.kind:6s} {edge.source.ref} -> {edge.sink.ref} "
-                f"{vector} [{carried}]"
-            )
-            count += 1
-    if count == 0:
+    graph = build_graph(program, DependenceAnalyzer(memoizer=Memoizer()))
+    for edge in graph.edges:
+        vector = "(" + " ".join(edge.vector) + ")"
+        carried = "carried" if edge.loop_carried else "loop-independent"
+        print(
+            f"{edge.kind:6s} {edge.source.ref} -> {edge.sink.ref} "
+            f"{vector} [{carried}]"
+        )
+    if not graph.edges:
         print("no dependences")
-    return EXIT_DEPENDENCE if count else EXIT_OK
+    return EXIT_DEPENDENCE if graph.edges else EXIT_OK
 
 
 # glibc <malloc.h> parameters, and the daemon's values for them.
@@ -911,36 +885,18 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 return True
             print(_watch_summary(index, summary, args.verify))
             return True
-        if language == "loop":
-            try:
-                report = local_session.update_source(
-                    text, verify=args.verify, name=str(path)
-                )
-            except LangError as err:
-                print(
-                    f"warning: parse error: {err} (keeping last graph)",
-                    file=sys.stderr,
-                )
-                return False
-            for message in report.skipped:
-                print(f"warning: skipped {message}", file=sys.stderr)
-        else:
-            from repro.frontends import SkipReason, extract_source
-
-            extraction = extract_source(text, lang=language, name=str(path))
-            if not extraction.program.statements and any(
-                record.reason == SkipReason.PARSE_ERROR
-                for record in extraction.skipped
-            ):
-                print(
-                    f"warning: parse error: {extraction.skipped[0].detail} "
-                    "(keeping last graph)",
-                    file=sys.stderr,
-                )
-                return False
-            for record in extraction.skipped:
-                print(f"warning: skipped {record}", file=sys.stderr)
-            report = local_session.update(extraction.program, verify=args.verify)
+        try:
+            report = local_session.update_source(
+                text, verify=args.verify, name=str(path), lang=language
+            )
+        except LangError as err:
+            print(
+                f"warning: parse error: {err} (keeping last graph)",
+                file=sys.stderr,
+            )
+            return False
+        for record in report.skip_records:
+            print(f"warning: skipped {record}", file=sys.stderr)
         print(_watch_summary(index, report.summary(), report.verified))
         return True
 

@@ -296,37 +296,6 @@ class DependenceAnalyzer:
     def analyze_sites(self, site1: AccessSite, site2: AccessSite) -> DependenceResult:
         return self.analyze(site1.ref, site1.nest, site2.ref, site2.nest)
 
-    def analyze_problem(
-        self,
-        problem: DependenceProblem,
-        ref1: str = "?",
-        ref2: str = "?",
-    ) -> DependenceResult:
-        """Analyze a pre-built dependence system.
-
-        The batch engine constructs problems once (to canonicalize and
-        deduplicate them) and hands them over directly; the constant
-        fast path does not apply because constant-only subscript pairs
-        are screened before a problem is ever built.  ``ref1``/``ref2``
-        only label the trace (the problem itself has no source refs).
-        """
-        self.stats.total_queries += 1
-        qsink, start = (
-            self._begin_trace("analyze", ref1, ref2, problem.n_common)
-            if self.sink.enabled
-            else (NULL_SINK, 0)
-        )
-        scope = self._open_scope()
-        try:
-            result = self._analyze_problem(problem, qsink, scope)
-        except BudgetExceeded as blown:
-            result = self._degraded_result(blown)
-        if qsink.enabled:
-            self._end_trace(
-                qsink, start, result.dependent, result.decided_by, result.exact
-            )
-        return result
-
     def directions(
         self,
         ref1: ArrayRef,

@@ -23,11 +23,13 @@ edited:
    path is **bit-identical** to a cold full re-analysis — the same
    edge list, the same ``to_dot`` text, the same ``edge_dicts`` serde.
 
-:meth:`IncrementalSession.update_source` takes ``.loop`` text instead
-of a program.  Its :class:`~repro.opt.spans.SpanCompiler` recompiles
-only the top-level statements whose lines changed since the last text
-and hands over the fingerprints of the statements it reused, so an
-edit pays for the edit in the front end as well.
+:meth:`IncrementalSession.update_source` takes source text instead of
+a program, and is where the front end is chosen.  For ``.loop`` text
+its :class:`~repro.opt.spans.SpanCompiler` recompiles only the
+top-level statements whose lines changed since the last text and
+hands over the fingerprints of the statements it reused, so an edit
+pays for the edit in the front end as well; Python and C text goes
+through :func:`~repro.frontends.extract_or_raise`.
 
 That identity is the module's contract, not an aspiration:
 ``update(..., verify=True)`` runs the full analysis from scratch and
@@ -53,6 +55,7 @@ from repro.core.graph import DependenceGraph, build_graph
 from repro.core.kinds import classify_pair
 from repro.core.memo import Memoizer
 from repro.core.result import DirectionResult
+from repro.frontends import SkipRecord, extract_or_raise, lowering_skip_record
 from repro.ir.fingerprint import (
     FingerprintDelta,
     ProgramFingerprint,
@@ -112,11 +115,13 @@ class UpdateReport:
     verified: bool = False
     statements: int = 0
     edges: int = field(default=0)
-    # update_source only: top-level statements compiled and reused, and
-    # the compile's skip messages.
+    # update_source only: top-level statements compiled and reused and
+    # the span compile's skip messages (.loop text), and every skip of
+    # any language as a record with its reason code.
     spans_compiled: int = 0
     spans_reused: int = 0
     skipped: list[str] = field(default_factory=list)
+    skip_records: list[SkipRecord] = field(default_factory=list)
 
     @property
     def requery_fraction(self) -> float:
@@ -192,18 +197,33 @@ class IncrementalSession:
         return self._update(program, program_fingerprint(program), start, verify)
 
     def update_source(
-        self, text: str, verify: bool = False, name: str = "<source>"
+        self,
+        text: str,
+        verify: bool = False,
+        name: str = "<source>",
+        lang: str = "loop",
     ) -> UpdateReport:
-        """:meth:`update` on ``compile_source(text, name, strict=False)``,
-        recompiling only the top-level statements an edit changed.
+        """:meth:`update` on source text in ``lang``.
 
-        A front-end error is the full compile's own
-        (:class:`~repro.lang.errors.LangError`) and leaves the session
-        as it was.  ``elapsed_s`` covers compile plus update; with
-        ``verify=True`` the compile is checked against
-        ``compile_source`` before the graph is checked.
+        ``.loop`` text is ``compile_source(text, name, strict=False)``,
+        recompiling only the top-level statements an edit changed;
+        Python and C text is :func:`~repro.frontends.extract_or_raise`.
+        A front-end error (:class:`~repro.lang.errors.LangError`) leaves
+        the session as it was.  ``elapsed_s`` covers compile plus
+        update; with ``verify=True`` a ``.loop`` compile is checked
+        against ``compile_source`` before the graph is checked.
         """
         start = time.perf_counter()
+        if lang != "loop":
+            extraction = extract_or_raise(text, lang=lang, name=name)
+            report = self._update(
+                extraction.program,
+                program_fingerprint(extraction.program),
+                start,
+                verify,
+            )
+            report.skip_records = extraction.skipped
+            return report
         compiled = self.spans.compile(text, name)
         result = compiled.result
         if verify:
@@ -225,6 +245,7 @@ class IncrementalSession:
         report.spans_compiled = compiled.compiled
         report.spans_reused = compiled.reused
         report.skipped = result.skipped
+        report.skip_records = [lowering_skip_record(m) for m in result.skipped]
         return report
 
     def _update(

@@ -23,8 +23,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.core.analyzer import DependenceAnalyzer
-from repro.core.kinds import DependenceEdge, classify_pair
-from repro.ir.program import Program, reference_pairs
+from repro.core.graph import build_graph
+from repro.core.kinds import DependenceEdge
+from repro.ir.program import Program
 from repro.system.depsystem import Direction
 
 __all__ = [
@@ -40,12 +41,7 @@ def gather_dependences(
     program: Program, analyzer: DependenceAnalyzer | None = None
 ) -> list[DependenceEdge]:
     """All oriented dependence edges of the program (input deps skipped)."""
-    if analyzer is None:
-        analyzer = DependenceAnalyzer()
-    edges: list[DependenceEdge] = []
-    for site1, site2 in reference_pairs(program):
-        edges.extend(classify_pair(site1, site2, analyzer))
-    return [e for e in edges if e.kind != "input"]
+    return build_graph(program, analyzer).edges
 
 
 def _expand(vector: Sequence[str]) -> Iterable[tuple[str, ...]]:

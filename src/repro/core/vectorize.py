@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.analyzer import DependenceAnalyzer
-from repro.core.kinds import classify_pair
-from repro.ir.program import Program, Statement, reference_pairs
+from repro.core.graph import build_graph
+from repro.ir.program import Program, Statement
 from repro.system.depsystem import Direction
 
 __all__ = [
@@ -154,22 +154,10 @@ class _Edge:
 def _statement_edges(
     program: Program, analyzer: DependenceAnalyzer
 ) -> list[_Edge]:
-    site_to_stmt = {}
-    for site in program.sites():
-        site_to_stmt[site.site_index] = site.stmt_index
-    edges = []
-    for site1, site2 in reference_pairs(program):
-        for edge in classify_pair(site1, site2, analyzer):
-            if edge.kind == "input":
-                continue
-            edges.append(
-                _Edge(
-                    src=site_to_stmt[edge.source.site_index],
-                    dst=site_to_stmt[edge.sink.site_index],
-                    vector=edge.vector,
-                )
-            )
-    return edges
+    return [
+        _Edge(src=src, dst=dst, vector=edge.vector)
+        for src, dst, edge in build_graph(program, analyzer).statement_edges()
+    ]
 
 
 # -- Tarjan SCC + topological condensation ----------------------------------------

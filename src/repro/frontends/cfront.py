@@ -67,8 +67,11 @@ def translate_c(
 
     Returns the translated program, the skip records, and one
     ``(context, span)`` record per outermost loop nest, in source
-    order.  Never raises on malformed input: unparseable regions
-    produce ``parse-error`` skip records instead.
+    order.  Unparseable regions produce ``parse-error`` skip records;
+    only a file that ends inside a function body raises
+    :class:`Untranslatable` (``parse-error``), which
+    :func:`~repro.frontends.extract.extract_source` reports as a
+    file-level parse failure.
     """
     translator = _CTranslator(_tokenize(text))
     body = translator.translation_unit()

@@ -11,12 +11,19 @@ the lowered program it produces:
   IR statements by outermost source nest (via source spans and the
   ``line{N}`` statement labels);
 * a merged, line-ordered skip list in which lowering-stage refusals
-  (strings like ``"line 4: non-affine product..."``) are mapped onto
-  the same stable reason codes the frontends use;
+  (strings like ``"line 4: non-affine product..."``, or the rank
+  rule's ``"line 4: array 'a' used with rank 2 after rank 1"``) are
+  mapped onto the same stable reason codes the frontends use;
 * the free symbolic names the lowered program depends on.
 
 Extraction is deterministic: identical text yields identical results,
-and nests/skips appear in source order.
+and nests/skips appear in source order.  For ``.loop`` text the
+program is ``compile_source(text, strict=False).program`` by
+construction: the same parse, optimize and lower.
+
+:func:`extract_or_raise` is the one place where a file that parsed
+nothing becomes a typed :class:`~repro.lang.errors.ParseError`, for
+every entry point that needs a program to analyze.
 """
 
 from __future__ import annotations
@@ -30,13 +37,12 @@ from repro.frontends.base import (
     SkipReason,
     SkipRecord,
     SourceSpan,
+    Untranslatable,
 )
-from repro.frontends.cfront import translate_c
-from repro.frontends.pyfront import translate_python
 from repro.ir.program import Program
 from repro.lang.ast_nodes import ForLoop, SourceProgram, walk_statements
-from repro.lang.errors import LangError
-from repro.lang.lower import lower
+from repro.lang.errors import LangError, ParseError
+from repro.lang.lower import RANK_WORDING, lower
 from repro.lang.parser import parse as parse_loop
 from repro.opt.pipeline import optimize
 
@@ -45,7 +51,9 @@ __all__ = [
     "EXTENSIONS",
     "detect_language",
     "extract_source",
+    "extract_or_raise",
     "extract_path",
+    "lowering_skip_record",
 ]
 
 LANGUAGES = ("python", "c", "loop")
@@ -66,6 +74,7 @@ _LOWERING_REASONS = (
     ("not loop-invariant", SkipReason.SCALAR_NOT_INVARIANT),
     ("non-affine product", SkipReason.NONAFFINE_SUBSCRIPT),
     ("array element", SkipReason.NONAFFINE_SUBSCRIPT),
+    (RANK_WORDING, SkipReason.RANK_MISMATCH),
 )
 
 
@@ -79,24 +88,31 @@ def extract_source(
 ) -> ExtractResult:
     """Extract loop nests from source text in the given language.
 
-    Never raises on malformed input: a file-level parse failure yields
-    an empty program with a single ``parse-error`` skip record, so
-    batch runs over real repositories keep going.
+    Never raises on malformed input: a file-level parse failure (a C
+    file that ends inside a function body included) yields an empty
+    program with a single ``parse-error`` skip record, so batch runs
+    over real repositories keep going.
     """
     if lang not in LANGUAGES:
         raise ValueError(
             f"unknown language {lang!r}; expected one of {', '.join(LANGUAGES)}"
         )
+    # The Python and C translators load on first use: a process that
+    # only ever sees .loop text (a daemon on .loop sessions) skips them.
     try:
         if lang == "python":
+            from repro.frontends.pyfront import translate_python
+
             ast_program, skipped, spans = translate_python(text, name)
         elif lang == "c":
+            from repro.frontends.cfront import translate_c
+
             ast_program, skipped, spans = translate_c(text, name)
         else:
             ast_program = parse_loop(text, name=name)
             skipped = []
             spans = _loop_spans(ast_program)
-    except (SyntaxError, LangError) as err:
+    except (SyntaxError, LangError, Untranslatable) as err:
         line = getattr(err, "lineno", None) or getattr(err, "line", 0) or 0
         record = SkipRecord(SkipReason.PARSE_ERROR, line, str(err))
         return ExtractResult(
@@ -106,19 +122,34 @@ def extract_source(
             skipped=[record],
         )
     result = lower(optimize(ast_program), strict=False)
-    skipped = skipped + [_map_lowering_skip(entry) for entry in result.skipped]
-    program, rank_skips = _enforce_ranks(result.program)
-    skipped += rank_skips
+    skipped = skipped + [lowering_skip_record(entry) for entry in result.skipped]
     skipped.sort(key=lambda record: record.line)
-    nests = _group_nests(lang, program, spans)
     return ExtractResult(
         language=lang,
         name=name,
-        program=program,
-        nests=nests,
+        program=result.program,
+        nests=_group_nests(lang, result.program, spans),
         skipped=skipped,
-        symbols=result.symbols | _free_symbols(program),
+        symbols=result.symbols | _free_symbols(result.program),
     )
+
+
+def extract_or_raise(
+    text: str, lang: str = "loop", name: str = "<source>"
+) -> ExtractResult:
+    """:func:`extract_source` for callers that need a program.
+
+    A file that parsed nothing and holds a ``parse-error`` record
+    raises :class:`~repro.lang.errors.ParseError`, the record's detail
+    its message.  Any other extraction is returned as it is, its skip
+    records included.
+    """
+    extraction = extract_source(text, lang=lang, name=name)
+    if not extraction.program.statements:
+        for record in extraction.skipped:
+            if record.reason == SkipReason.PARSE_ERROR:
+                raise ParseError(record.detail)
+    return extraction
 
 
 def extract_path(path: str | Path, lang: str | None = None) -> ExtractResult:
@@ -131,7 +162,9 @@ def extract_path(path: str | Path, lang: str | None = None) -> ExtractResult:
     )
 
 
-def _map_lowering_skip(entry: str) -> SkipRecord:
+def lowering_skip_record(entry: str) -> SkipRecord:
+    """A :attr:`~repro.lang.lower.LowerResult.skipped` message as a
+    skip record with its stable reason code."""
     match = _SKIP_LINE.match(entry)
     line = int(match.group(1)) if match else 0
     detail = match.group(2) if match else entry
@@ -140,47 +173,6 @@ def _map_lowering_skip(entry: str) -> SkipRecord:
         if fragment in detail:
             return SkipRecord(reason, line, detail)
     return SkipRecord(SkipReason.LOWERING, line, detail)
-
-
-def _enforce_ranks(program: Program) -> tuple[Program, list[SkipRecord]]:
-    """Drop statements that reuse an array at a conflicting rank.
-
-    Real source can subscript one name with different ranks (distinct
-    locals in different functions, or genuinely ragged use); the
-    dependence system requires a single rank per array, so the first
-    occurrence in program order fixes it and later conflicting
-    statements are skipped, never silently analyzed wrong.
-    """
-    ranks: dict[str, int] = {}
-    kept: list = []
-    skips: list[SkipRecord] = []
-    for stmt in program.statements:
-        conflict = None
-        for ref in stmt.refs():
-            rank = len(ref.subscripts)
-            seen = ranks.get(ref.array)
-            if seen is not None and seen != rank:
-                conflict = (ref.array, seen, rank)
-                break
-        if conflict is None:
-            for ref in stmt.refs():
-                ranks.setdefault(ref.array, len(ref.subscripts))
-            kept.append(stmt)
-        else:
-            array, seen, rank = conflict
-            match = _LABEL_LINE.match(stmt.label)
-            line = int(match.group(1)) if match else 0
-            skips.append(
-                SkipRecord(
-                    SkipReason.RANK_MISMATCH,
-                    line,
-                    f"array {array!r} used with rank {rank} after rank {seen}",
-                )
-            )
-    if len(kept) == len(program.statements):
-        return program, skips
-    out = Program(program.name, kept, source_lines=program.source_lines)
-    return out, skips
 
 
 def _loop_spans(program: SourceProgram) -> list[tuple[str, SourceSpan]]:

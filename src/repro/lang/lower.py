@@ -10,13 +10,20 @@ loop normalization).  Lowering then:
   assignment, carrying its enclosing :class:`~repro.ir.loops.LoopNest`;
 * treats any remaining free scalar as a *symbolic term* — but only if
   it is loop-invariant.  A scalar that is still assigned inside an
-  enclosing loop after optimization cannot be summarized affinely; in
-  strict mode that is a :class:`~repro.lang.errors.LowerError`, in
-  permissive mode the statement is skipped and reported.
+  enclosing loop after optimization cannot be summarized affinely;
+* keeps one rank per array (:func:`rank_conflict`): a statement whose
+  references use an array at another rank than an earlier reference,
+  in the statement or in an earlier lowered statement, cannot be put
+  to the dependence tests.
+
+A statement that cannot be lowered is a
+:class:`~repro.lang.errors.LowerError` in strict mode; in permissive
+mode it is skipped and reported.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.ir.affine import AffineExpr
@@ -46,6 +53,8 @@ __all__ = [
     "line_label",
     "label_line",
     "skip_line",
+    "rank_conflict",
+    "RANK_WORDING",
 ]
 
 
@@ -75,6 +84,30 @@ def _skip_message(message: str, line: int) -> str:
 def skip_line(skipped: str) -> int:
     """The source line a :attr:`LowerResult.skipped` message names."""
     return int(skipped[len("line ") : skipped.index(":")])
+
+
+#: The words every :func:`rank_conflict` message holds.
+RANK_WORDING = "used with rank"
+
+
+def rank_conflict(refs: Iterable[ArrayRef], ranks: dict[str, int]) -> str | None:
+    """The rank rule: one rank per array.
+
+    Returns the message for the first of ``refs`` whose array has
+    another rank in ``ranks`` or in an earlier of ``refs``.  With no
+    conflict, records every ref's rank in ``ranks`` and returns None.
+    """
+    new: dict[str, int] = {}
+    for ref in refs:
+        seen = ranks.get(ref.array, new.get(ref.array))
+        if seen is None:
+            new[ref.array] = ref.rank
+        elif seen != ref.rank:
+            return (
+                f"array {ref.array!r} {RANK_WORDING} {ref.rank} after rank {seen}"
+            )
+    ranks.update(new)
+    return None
 
 
 def lower_expr(expr: Expr, line: int = 0) -> AffineExpr:
@@ -111,6 +144,7 @@ class _Lowerer:
         self.program = Program(source.name, source_lines=source.source_lines)
         self.skipped: list[str] = []
         self.read_symbols: set[str] = set()
+        self.ranks: dict[str, int] = {}  # each lowered array's rank
         # Scalars still assigned anywhere after optimization are not
         # provably loop-invariant; subscripts using them are rejected.
         self.scalar_defs: set[str] = set()
@@ -185,6 +219,10 @@ class _Lowerer:
                 break
             reads.append(ref)
         if not ok:
+            return
+        conflict = rank_conflict((write, *reads), self.ranks)
+        if conflict is not None:
+            self._problem(conflict, stmt.line)
             return
         self.program.add(
             Statement(nest, write, tuple(reads), label=line_label(stmt.line))

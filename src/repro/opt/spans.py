@@ -26,10 +26,16 @@ included.  Why that holds:
   statements, and blanking its lines leaves the other statements'
   tokens, lines and columns as they are.
 * Parsing, loop normalization and lowering are local to a statement,
-  except through scalars: ``substitute_inductions`` carries scalar
-  values from one statement to the next and lowering rejects
-  subscripts that use any assigned scalar.  Any text that assigns a
-  scalar is compiled whole, and no span of it is kept for reuse.
+  except through scalars and ranks.  ``substitute_inductions``
+  carries scalar values from one statement to the next and lowering
+  rejects subscripts that use any assigned scalar: any text that
+  assigns a scalar is compiled whole, and no span of it is kept for
+  reuse.  Lowering's rank rule reads the statements before it, which
+  a reused span was lowered without: when the assembled statements
+  disagree in rank, or the pass skipped a statement for its rank, the
+  whole text is compiled.  Otherwise every kept statement agrees in
+  rank with every one before it, as in the full compile, and every
+  statement the pass skipped was skipped for a reason local to it.
 * A span whose compile reported a skip message is never reused (the
   message embeds its line).  Every other span declares exactly the
   symbols of the ``read`` statements inside it.
@@ -53,10 +59,12 @@ from repro.ir.program import Program, Statement
 from repro.lang.ast_nodes import Assign, Name, Read, walk_statements
 from repro.lang.errors import LangError
 from repro.lang.lower import (
+    RANK_WORDING,
     LowerResult,
     label_line,
     line_label,
     lower,
+    rank_conflict,
     skip_line,
 )
 from repro.lang.parser import parse
@@ -209,6 +217,8 @@ class SpanCompiler:
             fingerprints.extend(span.fingerprints)
             if not scalar and index not in skipped:
                 spans[key] = span
+        if reused and _ranks_read_other_spans(statements, result.skipped):
+            return self._whole(text, name, len(bounds))
         program = Program(name, statements, source_lines=len(lines))
         merged = set(result.symbols)
         for span in spans.values():
@@ -234,3 +244,15 @@ class SpanCompiler:
             compiled=spans,
             reused=0,
         )
+
+
+def _ranks_read_other_spans(
+    statements: list[Statement], skipped: list[str]
+) -> bool:
+    """Whether a span compile's rank decisions may differ from the full
+    compile's: its statements disagree in rank, or it skipped one for
+    its rank without seeing the reused spans' ranks."""
+    if any(RANK_WORDING in message for message in skipped):
+        return True
+    ranks: dict[str, int] = {}
+    return any(rank_conflict(stmt.refs(), ranks) for stmt in statements)

@@ -40,6 +40,7 @@ import json
 import os
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -59,6 +60,8 @@ __all__ = [
     "injection_log",
     "injected_counts",
     "reset_log",
+    "seeded_uniform",
+    "first_fired",
 ]
 
 ENV_VAR = "REPRO_CHAOS_PLAN"
@@ -68,6 +71,33 @@ HANG = "hang"
 CORRUPT = "corrupt"
 WRITE_FAIL = "write_fail"
 FAULT_KINDS = (CRASH, HANG, CORRUPT, WRITE_FAIL)
+
+
+def seeded_uniform(seed: int, site: str, key: object) -> float:
+    """A uniform [0, 1) draw, pure in ``(seed, site, key)``.
+
+    SHA-256 rather than ``hash()``: stable across processes and
+    interpreter runs regardless of ``PYTHONHASHSEED``.  Every seeded
+    schedule draws here: both fault plans and the client's retry
+    jitter.
+    """
+    payload = f"{seed}\x00{site}\x00{key}".encode()
+    digest = hashlib.sha256(payload).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+def first_fired(
+    draw: float, kinds: tuple[str, ...], rate: Callable[[str], float]
+) -> str | None:
+    """The kind a ``draw`` selects: the first of ``kinds`` whose
+    cumulative rate exceeds it, or None when their rates sum below it."""
+    threshold = 0.0
+    for kind in kinds:
+        threshold += rate(kind)
+        if draw < threshold:
+            return kind
+    return None
+
 
 #: Exit status of a chaos-crashed worker.  Distinctive on purpose: a
 #: watchdog test that sees 113 knows the death was injected, not real.
@@ -129,14 +159,8 @@ class FaultPlan:
         }[kind]
 
     def uniform(self, site: str, key: str) -> float:
-        """A uniform [0, 1) draw, pure in ``(seed, site, key)``.
-
-        SHA-256 rather than ``hash()``: stable across processes and
-        interpreter runs regardless of ``PYTHONHASHSEED``.
-        """
-        payload = f"{self.seed}\x00{site}\x00{key}".encode()
-        digest = hashlib.sha256(payload).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        """:func:`seeded_uniform` under this plan's seed."""
+        return seeded_uniform(self.seed, site, key)
 
     def peek(self, site: str, key: str, kinds: tuple[str, ...]) -> str | None:
         """Which fault (if any) fires at this site — without injecting.
@@ -145,13 +169,7 @@ class FaultPlan:
         will experience: it is the same decision :func:`chaos_roll`
         makes, minus the side effects.
         """
-        draw = self.uniform(site, key)
-        threshold = 0.0
-        for kind in kinds:
-            threshold += self.rate(kind)
-            if draw < threshold:
-                return kind
-        return None
+        return first_fired(self.uniform(site, key), kinds, self.rate)
 
 
 # -- per-process plan cache and injection log ------------------------------

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-import hashlib
 import threading
 from collections import Counter
 from dataclasses import dataclass, fields
 
 from repro.obs.metrics import MetricsRegistry
+from repro.robust.chaos import first_fired, seeded_uniform
 
 __all__ = [
     "NetFaultPlan",
@@ -145,14 +145,9 @@ class NetFaultPlan:
         }[kind]
 
     def uniform(self, site: str, key: str) -> float:
-        """A uniform [0, 1) draw, pure in ``(seed, site, key)``.
-
-        SHA-256 rather than ``hash()``: stable across processes and
-        interpreter runs regardless of ``PYTHONHASHSEED``.
-        """
-        payload = f"{self.seed}\x00{site}\x00{key}".encode()
-        digest = hashlib.sha256(payload).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        """:func:`~repro.robust.chaos.seeded_uniform` under this plan's
+        seed."""
+        return seeded_uniform(self.seed, site, key)
 
     def peek(self, site: str, conn: int, frame: int | None = None) -> str | None:
         """Which fault (if any) fires at this site — without injecting.
@@ -171,13 +166,7 @@ class NetFaultPlan:
             key = f"{conn}:{frame}"
         else:
             raise ValueError(f"unknown fault site {site!r}")
-        draw = self.uniform(site, key)
-        threshold = 0.0
-        for kind in kinds:
-            threshold += self.rate(kind)
-            if draw < threshold:
-                return kind
-        return None
+        return first_fired(self.uniform(site, key), kinds, self.rate)
 
 
 class ChaosProxy:

@@ -53,7 +53,6 @@ Resilience (all opt-in, zero-cost when off):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import socket
 import subprocess
@@ -64,6 +63,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
+from repro.robust.chaos import seeded_uniform
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
 
@@ -168,9 +168,7 @@ class RetryPolicy:
 
     def jitter(self, attempt: int) -> float:
         """The deterministic jitter factor for retry ``attempt``."""
-        payload = f"{self.seed}\x00retry\x00{attempt}".encode()
-        digest = hashlib.sha256(payload).digest()
-        return 0.5 + (int.from_bytes(digest[:8], "big") / 2**64) / 2.0
+        return 0.5 + seeded_uniform(self.seed, "retry", attempt) / 2.0
 
     def delay(self, attempt: int) -> float:
         """Seconds to sleep before retry ``attempt`` (0-based)."""

@@ -2,12 +2,14 @@
 
 One process keeps the analyzer warm for every caller:
 
-* **per-connection sessions** — each TCP (or stdio) connection gets its
-  own :class:`~repro.api.AnalysisSession`, but all sessions share the
-  server's :class:`~repro.serve.cache.ServeCache` memoizer, so any
-  caller's work warms every later caller (whole-program
-  ``analyze_program`` batches and incremental sessions run in their
-  worker thread on that same live memoizer);
+* **one analysis session** — the daemon builds one
+  :class:`~repro.api.AnalysisSession` at start-up on the server's
+  :class:`~repro.serve.cache.ServeCache` memoizer, and every
+  connection's queries run on it, so any caller's work warms every
+  later caller (whole-program ``analyze_program`` batches and
+  incremental sessions run in their worker thread on that same live
+  memoizer).  No analysis state is per connection: ``explain`` traces
+  on an analyzer of its own;
 * **request pipelining** — a client may send many request lines without
   waiting; responses carry the request id and may return out of order;
 * **bounded concurrency with explicit backpressure** — analysis work
@@ -58,6 +60,7 @@ from typing import Any
 from repro.api import AnalysisConfig, AnalysisSession, DependenceReport
 from repro.core.engine import analyze_batch, queries_from_program
 from repro.core.incremental import IncrementalSession
+from repro.frontends import LANGUAGES, extract_or_raise
 from repro.ir.program import Program, reference_pairs
 from repro.ir.serde import query_from_dict
 from repro.lang.errors import LangError
@@ -246,6 +249,18 @@ class DependenceServer:
         )
         self.flight = SingleFlight(registry=self.registry)
         self.fastlane = _WireFastLane()
+        self.session = AnalysisSession(
+            AnalysisConfig(
+                memo=True,
+                improved=self.config.improved,
+                symmetry=self.config.symmetry,
+                fm_budget=self.config.fm_budget,
+                want_witness=False,
+                jobs=1,
+                budget=self.config.budget,
+            ),
+            memoizer=self.cache.memoizer,
+        )
         self.started = threading.Event()
         self.bound_host: str | None = None
         self.bound_port: int | None = None
@@ -261,8 +276,7 @@ class DependenceServer:
         self._semaphore: asyncio.Semaphore | None = None
         self._pending: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
-        self._session_registries: list[MetricsRegistry] = []
-        self._sessions_open = 0
+        self._connections_open = 0
         self._session_counter = 0  # incremental session ids (event loop only)
 
     # -- lifecycle ---------------------------------------------------------
@@ -372,20 +386,6 @@ class DependenceServer:
 
     # -- connections -------------------------------------------------------
 
-    def _make_session(self) -> AnalysisSession:
-        return AnalysisSession(
-            AnalysisConfig(
-                memo=True,
-                improved=self.config.improved,
-                symmetry=self.config.symmetry,
-                fm_budget=self.config.fm_budget,
-                want_witness=False,
-                jobs=1,
-                budget=self.config.budget,
-            ),
-            memoizer=self.cache.memoizer,
-        )
-
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -394,12 +394,9 @@ class DependenceServer:
     async def _connection_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        session = self._make_session()
-        self._session_registries.append(session.registry)
-        self._sessions_open += 1
+        self._connections_open += 1
         self.registry.inc("serve.connections")
         write_lock = asyncio.Lock()
-        explain_lock = threading.Lock()
         inc_sessions = _IncrementalSessions()
         self._writers.add(writer)
         try:
@@ -415,19 +412,12 @@ class DependenceServer:
                 if not line.strip():
                     continue
                 task = asyncio.create_task(
-                    self._handle_line(
-                        line,
-                        writer,
-                        write_lock,
-                        session,
-                        explain_lock,
-                        inc_sessions,
-                    )
+                    self._handle_line(line, writer, write_lock, inc_sessions)
                 )
                 self._pending.add(task)
                 task.add_done_callback(self._pending.discard)
         finally:
-            self._sessions_open -= 1
+            self._connections_open -= 1
             if self.draining:
                 # _drain() owns closing writers after in-flight work.
                 return
@@ -444,8 +434,6 @@ class DependenceServer:
         line: bytes,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
-        session: AnalysisSession,
-        explain_lock: threading.Lock,
         inc_sessions: _IncrementalSessions,
     ) -> None:
         try:
@@ -458,9 +446,7 @@ class DependenceServer:
             )
             self.registry.inc_family("serve.errors", err.code)
             return
-        response = await self._dispatch(
-            request, session, explain_lock, inc_sessions
-        )
+        response = await self._dispatch(request, inc_sessions)
         await self._write(writer, write_lock, response)
 
     async def _write(
@@ -484,11 +470,7 @@ class DependenceServer:
             pass  # client went away; the work still warmed the cache
 
     async def _dispatch(
-        self,
-        request: Request,
-        session: AnalysisSession,
-        explain_lock: threading.Lock,
-        inc_sessions: _IncrementalSessions,
+        self, request: Request, inc_sessions: _IncrementalSessions
     ) -> dict | bytes:
         op = request.op
         spec = protocol.OPS[op]
@@ -534,9 +516,7 @@ class DependenceServer:
             if spec.stateful:
                 # Replaying a cached answer or coalescing two session
                 # frames would skip a state transition.
-                result = await self._run_analysis_op(
-                    request, session, explain_lock, inc_sessions
-                )
+                result = await self._run_analysis_op(request, inc_sessions)
             else:
                 # Coalesce identical params only: the answer names the
                 # request's arrays.  A lane key and the name it blanked
@@ -548,9 +528,7 @@ class DependenceServer:
                 )
                 result = await self.flight.run(
                     flight_key,
-                    lambda: self._run_analysis_op(
-                        request, session, explain_lock, inc_sessions
-                    ),
+                    lambda: self._run_analysis_op(request, inc_sessions),
                 )
             if lane_key is not None:
                 # Serialize the result once: it becomes both this
@@ -577,26 +555,19 @@ class DependenceServer:
     # -- analysis ops ------------------------------------------------------
 
     async def _run_analysis_op(
-        self,
-        request: Request,
-        session: AnalysisSession,
-        explain_lock: threading.Lock,
-        inc_sessions: _IncrementalSessions,
+        self, request: Request, inc_sessions: _IncrementalSessions
     ) -> Any:
         """Run one analysis op's handler under the concurrency limit.
 
         Every analysis handler takes the request plus the connection's
-        state — its analysis session, explain lock and incremental
-        sessions — and uses what its op needs.
+        incremental sessions, which only the session ops use.
         """
         assert self._semaphore is not None
         handler = getattr(self, protocol.OPS[request.op].handler)
         async with self._semaphore:
             self._running += 1
             try:
-                return await handler(
-                    request, session, explain_lock, inc_sessions
-                )
+                return await handler(request, inc_sessions)
             finally:
                 self._running -= 1
 
@@ -646,32 +617,9 @@ class DependenceServer:
         )
 
     def _compile(self, source: Any, lang: Any = None) -> Program:
-        if not isinstance(source, str):
-            raise ProtocolError(ErrorCode.BAD_REQUEST, "'source' must be text")
-        if lang is None:
-            lang = "loop"
-        if lang != "loop":
-            from repro.frontends import LANGUAGES, SkipReason, extract_source
-
-            if lang not in LANGUAGES:
-                raise ProtocolError(
-                    ErrorCode.BAD_REQUEST,
-                    f"unknown lang {lang!r}; expected one of "
-                    f"{', '.join(LANGUAGES)}",
-                )
-            extraction = extract_source(source, lang=lang, name="<request>")
-            if not extraction.program.statements and any(
-                record.reason == SkipReason.PARSE_ERROR
-                for record in extraction.skipped
-            ):
-                raise ProtocolError(
-                    ErrorCode.SOURCE, extraction.skipped[0].detail
-                )
-            return extraction.program
-        from repro.opt import compile_source
-
+        lang = _source_lang(source, lang)
         try:
-            return compile_source(source, name="<request>", strict=False).program
+            return extract_or_raise(source, lang=lang, name="<request>").program
         except LangError as err:
             raise ProtocolError(ErrorCode.SOURCE, str(err)) from err
 
@@ -722,15 +670,13 @@ class DependenceServer:
     async def _op_analyze(
         self,
         request: Request,
-        session: AnalysisSession,
-        explain_lock: threading.Lock,
         inc_sessions: _IncrementalSessions,
     ):
         ref1, nest1, ref2, nest2 = await self._decode_off_loop(request.params)
         want_directions = bool(request.params.get("directions", True))
 
         def work() -> dict:
-            report = session.analyze(
+            report = self.session.analyze(
                 ref1, nest1, ref2, nest2, want_directions=want_directions
             )
             return protocol.report_to_wire(report)
@@ -748,20 +694,15 @@ class DependenceServer:
     async def _op_explain(
         self,
         request: Request,
-        session: AnalysisSession,
-        explain_lock: threading.Lock,
         inc_sessions: _IncrementalSessions,
     ):
         ref1, nest1, ref2, nest2 = await self._decode_off_loop(request.params)
         want_directions = bool(request.params.get("directions", True))
 
         def work() -> dict:
-            # explain() temporarily swaps the session's sink; one at a
-            # time per session keeps pipelined explains untangled.
-            with explain_lock:
-                explained = session.explain(
-                    ref1, nest1, ref2, nest2, want_directions=want_directions
-                )
+            explained = self.session.explain(
+                ref1, nest1, ref2, nest2, want_directions=want_directions
+            )
             return {
                 "report": protocol.report_to_wire(explained.report),
                 "trace": explained.render(),
@@ -785,8 +726,6 @@ class DependenceServer:
     async def _op_analyze_program(
         self,
         request: Request,
-        session: AnalysisSession,
-        explain_lock: threading.Lock,
         inc_sessions: _IncrementalSessions,
     ):
         if "source" not in request.params:
@@ -816,7 +755,7 @@ class DependenceServer:
                 fm_budget=self.config.fm_budget,
                 budget=self.config.budget,
             )
-            session.stats.merge(report.stats)
+            self.session.stats.merge(report.stats)
             pairs = [
                 protocol.report_to_wire(
                     DependenceReport.from_results(
@@ -875,15 +814,13 @@ class DependenceServer:
 
         Caller holds the connection's ``inc_sessions.lock``.
         """
-        if lang in (None, "loop") and isinstance(source, str):
-            try:
-                report = session.update_source(
-                    source, verify=verify, name="<request>"
-                )
-            except LangError as err:
-                raise ProtocolError(ErrorCode.SOURCE, str(err)) from err
-        else:
-            report = session.update(self._compile(source, lang), verify=verify)
+        lang = _source_lang(source, lang)
+        try:
+            report = session.update_source(
+                source, verify=verify, name="<request>", lang=lang
+            )
+        except LangError as err:
+            raise ProtocolError(ErrorCode.SOURCE, str(err)) from err
         summary = report.summary()
         summary["session"] = sid
         summary["degraded"] = False
@@ -894,8 +831,6 @@ class DependenceServer:
     async def _op_open_session(
         self,
         request: Request,
-        session: AnalysisSession,
-        explain_lock: threading.Lock,
         inc_sessions: _IncrementalSessions,
     ):
         # Durable-session fields (additive, v3): a client may mint its
@@ -964,8 +899,6 @@ class DependenceServer:
     async def _op_update_source(
         self,
         request: Request,
-        session: AnalysisSession,
-        explain_lock: threading.Lock,
         inc_sessions: _IncrementalSessions,
     ):
         sid = request.params.get("session")
@@ -1005,8 +938,6 @@ class DependenceServer:
     async def _op_graph(
         self,
         request: Request,
-        session: AnalysisSession,
-        explain_lock: threading.Lock,
         inc_sessions: _IncrementalSessions,
     ):
         sid = request.params.get("session")
@@ -1061,15 +992,14 @@ class DependenceServer:
             # op the table marks as taking source.
             "frontends": ["loop", "python", "c"],
             "inflight": self._admitted,
-            "connections": self._sessions_open,
+            "connections": self._connections_open,
             "cache_entries": self.cache.entry_count(),
         }
 
     def _op_stats(self) -> dict:
         merged = MetricsRegistry()
         merged.merge(self.registry)
-        for registry in self._session_registries:
-            merged.merge(registry)
+        merged.merge(self.session.registry)
         return {
             "registry": merged.to_dict(),
             "cache": self.cache.stats(),
@@ -1077,10 +1007,26 @@ class DependenceServer:
                 "inflight": self._admitted,
                 "running": self._running,
                 "draining": self.draining,
-                "connections": self._sessions_open,
+                "connections": self._connections_open,
                 "fastlane_entries": len(self.fastlane),
             },
         }
+
+
+def _source_lang(source: Any, lang: Any) -> str:
+    """The front end for a request's ``source`` and ``lang`` params
+    (``lang`` defaults to ``loop``); ``bad_request`` when either is
+    malformed."""
+    if not isinstance(source, str):
+        raise ProtocolError(ErrorCode.BAD_REQUEST, "'source' must be text")
+    if lang is None:
+        return "loop"
+    if lang not in LANGUAGES:
+        raise ProtocolError(
+            ErrorCode.BAD_REQUEST,
+            f"unknown lang {lang!r}; expected one of {', '.join(LANGUAGES)}",
+        )
+    return lang
 
 
 def _now_ns() -> int:

@@ -5,6 +5,8 @@ counter part of the registry must be bit-identical whatever the shard
 count (histograms carry wall times and are excluded by design).
 """
 
+import threading
+
 import pytest
 
 from repro import (
@@ -131,6 +133,44 @@ class TestExplain:
         assert session.analyzer.sink is outer
         # forwarded: the outer sink saw the explain events too
         assert any(isinstance(e, QueryEnd) for e in outer.events)
+
+    def test_explain_trace_holds_only_its_query(self, monkeypatch):
+        """A query another thread runs on the session while an explain
+        is in flight stays out of the explain's trace."""
+        import repro.core.analyzer as analyzer_module
+
+        entered, release = threading.Event(), threading.Event()
+        build_problem = analyzer_module.build_problem
+        calls = []
+
+        def first_call_waits(*query):
+            calls.append(query)
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(10)
+            return build_problem(*query)
+
+        monkeypatch.setattr(analyzer_module, "build_problem", first_call_waits)
+        session = AnalysisSession()
+        w, r = _shift_pair()
+        explained = []
+        thread = threading.Thread(
+            target=lambda: explained.append(
+                session.explain(w, NEST, r, NEST, want_directions=False)
+            )
+        )
+        thread.start()
+        assert entered.wait(10)
+        other = B.ref("a", [B.v("i") + 3])
+        session.analyze(w, NEST, other, NEST)
+        release.set()
+        thread.join(10)
+        (result,) = explained
+        starts = [e for e in result.events if isinstance(e, QueryStart)]
+        assert [(e.ref1, e.ref2) for e in starts] == [(str(w), str(r))]
+        assert {e.query_id for e in result.events} == {0}
+        # The explain's work counts in the session's statistics.
+        assert session.stats.total_queries == 2
 
     def test_session_sink_receives_events(self):
         w, r = _shift_pair()

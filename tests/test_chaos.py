@@ -9,6 +9,7 @@ a pure function of ``(seed, site, key)``, so tests *compute* the
 faults a run will experience and check the books afterwards.
 """
 
+import hashlib
 import time
 import warnings
 
@@ -94,6 +95,27 @@ class TestFaultPlan:
         assert FaultPlan(seed=2).uniform("s", "k") != base
         assert FaultPlan(seed=1).uniform("t", "k") != base
         assert FaultPlan(seed=1).uniform("s", "j") != base
+
+    def test_every_seeded_schedule_draws_the_same_roll(self):
+        """Both fault plans and the retry jitter draw one SHA-256 roll:
+        the first 8 digest bytes of ``seed NUL site NUL key``."""
+        from repro.robust.netchaos import NetFaultPlan
+        from repro.serve.client import RetryPolicy
+
+        def roll(seed, site, key):
+            digest = hashlib.sha256(f"{seed}\x00{site}\x00{key}".encode()).digest()
+            return int.from_bytes(digest[:8], "big") / 2**64
+
+        for seed in range(4):
+            for key in ("k", "0:3", "shard:1:0"):
+                assert FaultPlan(seed=seed).uniform("s", key) == roll(seed, "s", key)
+                assert NetFaultPlan(seed=seed).uniform("s", key) == roll(
+                    seed, "s", key
+                )
+            for attempt in range(5):
+                assert RetryPolicy(seed=seed).jitter(attempt) == (
+                    0.5 + roll(seed, "retry", attempt) / 2.0
+                )
 
     def test_peek_thresholds(self):
         always = FaultPlan(seed=0, crash_rate=1.0)

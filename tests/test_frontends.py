@@ -253,6 +253,35 @@ def test_lex_error_is_a_skip_not_a_crash(tmp_path, capsys):
     assert "[parse-error]" in capsys.readouterr().out
 
 
+def test_every_truncated_corpus_prefix_extracts():
+    """``extract_source`` returns on every line-truncated prefix of every
+    corpus file: an editor saves half-typed files."""
+    prefixes = {"python": 0, "c": 0}
+    for path in SOURCES:
+        lang = detect_language(path)
+        lines = path.read_text().splitlines(keepends=True)
+        for cut in range(len(lines)):
+            extraction = extract_source("".join(lines[:cut]), lang, str(path))
+            assert extraction.language == lang
+            prefixes[lang] += 1
+    assert prefixes == {"python": 101, "c": 98}
+
+
+def test_a_c_file_that_ends_inside_a_function_is_a_parse_error(tmp_path, capsys):
+    text = "".join((CORPUS / "matmul.c").read_text().splitlines(keepends=True)[:-1])
+    extraction = extract_source(text, lang="c")
+    assert extraction.program.statements == []
+    assert [(r.reason, r.detail) for r in extraction.skipped] == [
+        (SkipReason.PARSE_ERROR, "expected '}', found 'EOF'")
+    ]
+    path = tmp_path / "truncated.c"
+    path.write_text(text)
+    assert repro_main(["extract", str(path)]) == 0
+    assert "[parse-error]" in capsys.readouterr().out
+    assert repro_main(["analyze", str(path)]) == 2
+    assert "error: expected '}', found 'EOF'" in capsys.readouterr().err
+
+
 def test_unknown_language_rejected():
     with pytest.raises(ValueError):
         extract_source("x", lang="fortran", name="x")

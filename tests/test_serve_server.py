@@ -99,13 +99,9 @@ class _SlowServer(DependenceServer):
 
     DELAY = 0.3
 
-    async def _run_analysis_op(
-        self, request, session, explain_lock, inc_sessions
-    ):
+    async def _run_analysis_op(self, request, inc_sessions):
         await asyncio.sleep(self.DELAY)
-        return await super()._run_analysis_op(
-            request, session, explain_lock, inc_sessions
-        )
+        return await super()._run_analysis_op(request, inc_sessions)
 
 
 class TestBasicOps:
@@ -916,6 +912,115 @@ class TestCachePersistenceAcrossRestarts:
             tables["with_bounds"]["hits"] + tables["no_bounds"]["hits"]
         )
         assert hits > 0
+
+
+# One array at two ranks: the second statement reuses 'a' at rank 2
+# and the third uses 'c' at two ranks, so both are skipped.
+RANK_SOURCE = """\
+for i = 2 to 10 do
+  a[i] = a[i - 1]
+end
+for i = 2 to 10 do
+  for j = 1 to 10 do
+    a[i][j] = a[i][j - 1]
+    c[i] = c[i - 1][j]
+  end
+end
+"""
+
+RANK_PYTHON = """\
+def f(A, B, n):
+    for i in range(1, n):
+        A[i] = A[i - 1]
+        B[i] = B[i - 1][0]
+"""
+
+RANK_C = """\
+void f(int n) {
+  for (i = 1; i < n; i++) {
+    A[i] = A[i - 1];
+    B[i] = B[i - 1][0];
+  }
+}
+"""
+
+TRUNCATED_C = "void f(int n) {\n  for (i = 1; i < n; i++)\n    A[i] = A[i - 1];\n"
+
+
+class TestOneFrontEnd:
+    """Every op that takes source compiles it one way: a rank conflict
+    is a skipped statement and a truncated C file a source error, never
+    ``internal_error`` or a traceback."""
+
+    def _no_internal_errors(self, client, capsys):
+        families = client.stats()["registry"]["families"]
+        assert protocol.ErrorCode.INTERNAL not in families.get("serve.errors", {})
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, lang",
+        [(RANK_SOURCE, None), (RANK_PYTHON, "python"), (RANK_C, "c")],
+        ids=["loop", "python", "c"],
+    )
+    def test_stateless_ops_skip_a_rank_conflict(self, running, capsys, source, lang):
+        params = {} if lang is None else {"lang": lang}
+        with running.client() as client:
+            report = client.analyze(source=source, pair=0, **params)
+            assert report["dependent"] is True
+            explained = client.explain(source=source, pair=0, **params)
+            assert explained["report"] == report
+            program = client.analyze_program(source, **params)
+            assert [pair["ref1"] for pair in program["pairs"]] == [report["ref1"]]
+            self._no_internal_errors(client, capsys)
+
+    def test_session_ops_skip_a_rank_conflict(self, running, capsys):
+        first = RANK_SOURCE.split("for i = 2 to 10 do\n  for j")[0]
+        with running.client() as client:
+            opened = client.open_session(source=RANK_SOURCE)
+            assert opened["update"]["statements"] == 1
+            sid = client.open_session(source=first)["session"]
+            summary = client.update_source(sid, RANK_SOURCE, verify=True)
+            assert summary["statements"] == 1
+            assert summary["edges"] == 1
+            python = RANK_PYTHON.replace("B[i - 1][0]", "B[i - 1]")
+            sid = client.open_session(source=python, lang="python")["session"]
+            summary = client.update_source(
+                sid, RANK_PYTHON, lang="python", verify=True
+            )
+            assert (summary["statements"], summary["edges"]) == (1, 1)
+            self._no_internal_errors(client, capsys)
+
+    def test_a_truncated_c_file_is_a_source_error(self, running, capsys):
+        with running.client() as client:
+            for op, params in [
+                ("analyze", {"source": TRUNCATED_C, "pair": 0}),
+                ("analyze_program", {"source": TRUNCATED_C}),
+                ("open_session", {"source": TRUNCATED_C}),
+            ]:
+                with pytest.raises(ServeError) as exc:
+                    client.call(op, {**params, "lang": "c"})
+                assert exc.value.code == protocol.ErrorCode.SOURCE
+                assert exc.value.message == "expected '}', found 'EOF'"
+            sid = client.open_session(source=TRUNCATED_C + "}\n", lang="c")["session"]
+            with pytest.raises(ServeError) as exc:
+                client.update_source(sid, TRUNCATED_C, lang="c")
+            assert exc.value.code == protocol.ErrorCode.SOURCE
+            assert client.graph(sid)["statements"] == 1
+            self._no_internal_errors(client, capsys)
+
+    def test_every_connection_shares_the_one_session(self, running):
+        for distance in range(1, 6):
+            with running.client() as client:
+                client.analyze(
+                    source=SOURCE.replace("i - 1", f"i - {distance}"), pair=0
+                )
+            with running.client() as client:
+                client.explain(source=SOURCE, pair=0)
+        with running.client() as client:
+            stats = client.stats()
+        # Each answer is a plain query plus a direction query.
+        assert stats["registry"]["scalars"]["queries.total"] == 20
+        assert running.server.session.stats.total_queries == 20
 
 
 class TestIncrementalSessions:

@@ -198,3 +198,84 @@ class TestReuseIsVisible:
     def test_program_updates_report_no_spans(self):
         report = IncrementalSession().update(storm_program(0, statements=4))
         assert (report.spans_compiled, report.spans_reused) == (0, 0)
+
+
+RANK_BASE = """\
+for i = 1 to 10 do
+  a[i] = a[i - 1]
+end
+for j = 1 to 5 do
+  b[j] = b[j + 1]
+end
+for k = 1 to 5 do
+  c[k] = a[k]
+end
+"""
+
+
+class TestRankConflicts:
+    """Lowering's rank rule reads earlier statements, which a reused
+    span was lowered without: an edit that adds or removes a rank
+    conflict still compiles to the whole text's ``LowerResult``."""
+
+    def _step(self, spans, text):
+        compiled = spans.compile(text)
+        full = compile_source(text, strict=False)
+        assert (
+            compiled.result.program,
+            compiled.result.symbols,
+            compiled.result.skipped,
+        ) == (full.program, full.symbols, full.skipped)
+        return compiled
+
+    def test_adding_and_removing_a_conflict_across_spans(self):
+        spans = SpanCompiler()
+        self._step(spans, RANK_BASE)
+        # The edited last span reuses 'a' at rank 2; the first span,
+        # reused, fixed rank 1.
+        later = self._step(spans, RANK_BASE.replace("c[k] = a[k]", "c[k] = a[k][1]"))
+        assert (later.compiled, later.reused) == (3, 0)
+        assert later.result.skipped == [
+            "line 8: array 'a' used with rank 2 after rank 1"
+        ]
+        self._step(spans, RANK_BASE)
+        # The edited first span changes 'a' to rank 2 under the reused
+        # last span's rank-1 read.
+        earlier = self._step(spans, RANK_BASE.replace("a[i] = a[i - 1]", "a[i][1] = 0"))
+        assert (earlier.compiled, earlier.reused) == (3, 0)
+        assert earlier.result.skipped == [
+            "line 8: array 'a' used with rank 1 after rank 2"
+        ]
+        self._step(spans, RANK_BASE)
+        resumed = self._step(spans, RANK_BASE.replace("b[j + 1]", "b[j + 2]"))
+        assert (resumed.compiled, resumed.reused) == (1, 2)
+
+    def test_adding_and_removing_a_conflict_within_a_span(self):
+        spans = SpanCompiler()
+        self._step(spans, RANK_BASE)
+        within = self._step(spans, RANK_BASE.replace("b[j + 1]", "b[j + 1][0]"))
+        assert within.result.skipped == [
+            "line 5: array 'b' used with rank 2 after rank 1"
+        ]
+        self._step(spans, RANK_BASE)
+        resumed = self._step(spans, RANK_BASE.replace("b[j + 1]", "b[j + 2]"))
+        assert (resumed.compiled, resumed.reused) == (1, 2)
+
+    def test_a_rank_skip_names_the_whole_texts_conflict(self):
+        # Without the reused first span's rank of 'a', the pass would
+        # report 'b' as the conflict of the last statement; the whole
+        # text reports 'a'.
+        base = (
+            "for i = 1 to 10 do\n  a[i] = 0\nend\n"
+            "for i = 1 to 10 do\n  b[i] = 0\nend\n"
+            "for i = 1 to 10 do\n  x[i] = a[i] + b[i]\nend\n"
+        )
+        spans = SpanCompiler()
+        self._step(spans, base)
+        edited = base.replace("b[i] = 0", "b[i][1] = 0").replace(
+            "a[i] + b[i]", "a[i][0] + b[i]"
+        )
+        compiled = self._step(spans, edited)
+        assert compiled.result.skipped == [
+            "line 8: array 'a' used with rank 2 after rank 1"
+        ]
