@@ -410,8 +410,8 @@ def _cmd_vectorize(args: argparse.Namespace) -> int:
     if not program.statements:
         print("nothing to vectorize")
         return 0
-    nests = {stmt.nest for stmt in program.statements}
-    for nest in nests:
+    # One report per nest, in program order of each nest's first statement.
+    for nest in dict.fromkeys(stmt.nest for stmt in program.statements):
         sub = type(program)(
             program.name,
             [s for s in program.statements if s.nest == nest],

@@ -264,7 +264,7 @@ class DependenceAnalyzer:
         nest2: LoopNest,
     ) -> DependenceResult:
         """Can the two references touch the same element? (section 2)"""
-        self.stats.total_queries += 1
+        self.stats.inc("total_queries")
         qsink, start = (
             self._begin_trace(
                 "analyze", str(ref1), str(ref2), nest1.common_prefix_depth(nest2)
@@ -274,7 +274,7 @@ class DependenceAnalyzer:
         )
         constant = self._constant_fast_path(ref1, ref2)
         if constant is not None:
-            self.stats.constant_cases += 1
+            self.stats.inc("constant_cases")
             if qsink.enabled:
                 qsink.emit(ConstantScreen(independent=not constant.dependent))
                 self._end_trace(
@@ -323,7 +323,7 @@ class DependenceAnalyzer:
             prune_distance=prune_distance,
             dimension_by_dimension=dimension_by_dimension,
         )
-        self.stats.total_queries += 1
+        self.stats.inc("total_queries")
         n_common_full = nest1.common_prefix_depth(nest2)
         qsink, start = (
             self._begin_trace("directions", str(ref1), str(ref2), n_common_full)
@@ -334,7 +334,7 @@ class DependenceAnalyzer:
         constant = self._constant_fast_path(ref1, ref2)
         if constant is not None and constant.independent:
             # Unequal constants: no dependence under any direction.
-            self.stats.constant_cases += 1
+            self.stats.inc("constant_cases")
             if qsink.enabled:
                 qsink.emit(ConstantScreen(independent=True))
                 self._end_trace(
@@ -349,7 +349,7 @@ class DependenceAnalyzer:
             # (a single-iteration loop only has '='), so fall through to
             # refinement for an exact answer.  The plain analyzer still
             # reports these as constant cases without testing.
-            self.stats.constant_cases += 1
+            self.stats.inc("constant_cases")
             if qsink.enabled:
                 qsink.emit(ConstantScreen(independent=False))
 
@@ -431,7 +431,7 @@ class DependenceAnalyzer:
 
         outcome = self._gcd_outcome(work, key_source, nb_entry, qsink)
         if outcome.independent:
-            self.stats.gcd_independent += 1
+            self.stats.inc("gcd_independent")
             if qsink.enabled:
                 self._end_trace(qsink, start, False, "gcd", True, n_vectors=0)
             return DirectionResult(
@@ -447,12 +447,12 @@ class DependenceAnalyzer:
                     int(options.dimension_by_dimension),
                 )
             )
-            self.stats.memo_queries_bounds += 1
+            self.stats.inc("memo_queries_bounds")
             hit, cached = memo.with_bounds.lookup(memo_key)
             if qsink.enabled:
                 qsink.emit(MemoLookup(table="with_bounds", hit=hit))
             if hit:
-                self.stats.memo_hits_bounds += 1
+                self.stats.inc("memo_hits_bounds")
                 entry: _CachedDirections = cached
                 lifted = self._lift_vectors(
                     entry.vectors_reduced, surviving, n_common_full, forced_dropped
@@ -507,7 +507,7 @@ class DependenceAnalyzer:
             exact=reduced_result.exact,
             tests_performed=reduced_result.tests_performed,
         )
-        self.stats.direction_vectors_found += result.count_elementary()
+        self.stats.inc("direction_vectors_found", result.count_elementary())
         if memo is not None and memo_key is not None:
             memo.with_bounds.insert(
                 memo_key,
@@ -673,18 +673,18 @@ class DependenceAnalyzer:
         # totals count only the cases that reach the inequality tests).
         outcome = self._gcd_outcome(work, key_source, nb_entry, qsink)
         if outcome.independent:
-            self.stats.gcd_independent += 1
+            self.stats.inc("gcd_independent")
             return DependenceResult(dependent=False, decided_by="gcd")
 
         key_bounds = None
         if memo is not None:
             key_bounds = key_source.key_bytes(with_bounds=True)
-            self.stats.memo_queries_bounds += 1
+            self.stats.inc("memo_queries_bounds")
             hit, cached = memo.with_bounds.lookup(key_bounds)
             if qsink.enabled:
                 qsink.emit(MemoLookup(table="with_bounds", hit=hit))
             if hit:
-                self.stats.memo_hits_bounds += 1
+                self.stats.inc("memo_hits_bounds")
                 entry: _CachedVerdict = cached
                 return DependenceResult(
                     dependent=entry.dependent,
@@ -766,12 +766,12 @@ class DependenceAnalyzer:
         memo = self.memoizer
         assert memo is not None
         key = key_source.key_bytes(with_bounds=False)
-        self.stats.memo_queries_no_bounds += 1
+        self.stats.inc("memo_queries_no_bounds")
         hit, cached = memo.no_bounds.lookup(key)
         if qsink.enabled:
             qsink.emit(MemoLookup(table="no_bounds", hit=hit))
         if hit:
-            self.stats.memo_hits_no_bounds += 1
+            self.stats.inc("memo_hits_no_bounds")
             return cached
         return _MISS
 

@@ -443,8 +443,8 @@ def analyze_batch(
             owners[entry].append(idx)
             continue
         constant, directions, n_common = entry
-        screen_stats.total_queries += 1
-        screen_stats.constant_cases += 1
+        screen_stats.inc("total_queries")
+        screen_stats.inc("constant_cases")
         if trace:
             screen_events.append(
                 QueryStart(

@@ -3,25 +3,35 @@
 The paper's memo table makes a *repeated query* free; this module makes
 a *repeated program* nearly free.  An :class:`IncrementalSession` keeps
 the last analyzed :class:`~repro.ir.program.Program` alongside its
-:class:`~repro.core.graph.DependenceGraph` and a cache of every pair's
-direction-vector answer keyed by the pair's canonical content
-(:func:`repro.ir.fingerprint.program_pair_keys`).  When the program is
-edited:
+:class:`~repro.core.graph.DependenceGraph`, and across updates it keeps
+three more things: a stable identity for every statement, each
+statement's :class:`~repro.ir.program.AccessSite` objects, and for every
+array one **row** per site — that site's edges with the later sites of
+its array, in :func:`~repro.core.graph.build_graph` order, together
+with each pair's edges keyed by the later site's identity.  The graph's
+edge list is the rows concatenated, arrays in first-appearance order.
+When the program is edited:
 
 1. statement fingerprints of the old and new versions are diffed into
    **kept / dirty / removed** sets (:func:`~repro.ir.fingerprint.
-   diff_fingerprints`);
-2. only pairs with at least one dirty endpoint miss the pair cache —
-   every edge between two kept statements is reused verbatim, however
-   the edit shifted statement indices;
-3. the missing pairs are re-queried through the existing batch engine
-   (:func:`~repro.core.engine.analyze_batch`) with the session's warm
-   memo table, so even "new" statements that repeat a known subscript
-   pattern cost one memo probe;
-4. the results are spliced into a fresh graph built in exactly
-   :func:`~repro.core.graph.build_graph`'s pair order, so the delta
-   path is **bit-identical** to a cold full re-analysis — the same
-   edge list, the same ``to_dot`` text, the same ``edge_dicts`` serde.
+   diff_fingerprints`); a kept statement keeps its identity, and its
+   sites while its indices do not move;
+2. a row is reused as is when neither its site nor any later site of
+   its array changed; every other row is rebuilt from its pairs' kept
+   edges, re-pointed at the new sites when an insert or delete shifted
+   them (an index shift changes no kind, vector or orientation);
+3. only pairs with no kept edges — a dirty endpoint, two statements an
+   edit swapped, or an answer that was degraded — are re-queried
+   through the batch engine (:func:`~repro.core.engine.analyze_batch`)
+   with the session's warm memo table, so even "new" statements that
+   repeat a known subscript pattern cost one memo probe, and only they
+   are classified (:func:`~repro.core.kinds.classify_pair`).
+
+So an edit re-queries and classifies only its dirty pairs and builds
+new edges only where it shifted sites; a row it rebuilt costs one
+lookup per pair.  The graph is **bit-identical** to a cold full
+re-analysis — the same edge list, the same ``to_dot`` text, the same
+``edge_dicts`` serde.
 
 :meth:`IncrementalSession.update_source` takes source text instead of
 a program, and is where the front end is chosen.  For ``.loop`` text
@@ -40,8 +50,9 @@ over a seeded edit storm.
 
 Degraded verdicts (a blown :mod:`repro.robust.budget`) are answered
 conservatively in the returned graph but **never retained**: they are
-excluded from the pair cache, so the next update re-queries them — a
-hedge must not outlive the resource pressure that forced it.
+left out of their row's pairs and the row is rebuilt on the next
+update, which re-queries them — a hedge must not outlive the resource
+pressure that forced it.
 """
 
 from __future__ import annotations
@@ -52,18 +63,16 @@ from dataclasses import dataclass, field
 from repro.core.analyzer import DependenceAnalyzer
 from repro.core.engine import PairQuery, analyze_batch
 from repro.core.graph import DependenceGraph, build_graph
-from repro.core.kinds import classify_pair
+from repro.core.kinds import DependenceEdge, classify_pair
 from repro.core.memo import Memoizer
-from repro.core.result import DirectionResult
 from repro.frontends import SkipRecord, extract_or_raise, lowering_skip_record
 from repro.ir.fingerprint import (
     FingerprintDelta,
     ProgramFingerprint,
     diff_fingerprints,
     program_fingerprint,
-    program_pair_keys,
 )
-from repro.ir.program import Program, reference_pairs
+from repro.ir.program import AccessSite, Program
 from repro.opt.pipeline import compile_source
 from repro.opt.spans import SpanCompiler
 from repro.robust.budget import ResourceBudget
@@ -148,14 +157,108 @@ class UpdateReport:
         }
 
 
+@dataclass(slots=True)
+class _Row:
+    """One site's edges with the later sites of its array.
+
+    ``pairs`` maps each later site's identity to that pair's non-input
+    edges, in :func:`~repro.core.graph.build_graph` order and exact
+    answers only; ``edges`` is their concatenation.  A row that holds a
+    degraded answer (in ``edges``, not in ``pairs``) is not ``exact``,
+    so the next update rebuilds it.
+    """
+
+    site_id: int
+    site: AccessSite
+    pairs: dict[int, tuple[DependenceEdge, ...]]
+    edges: list[DependenceEdge]
+    exact: bool = True
+
+
+def _flatten(pairs: dict[int, tuple[DependenceEdge, ...]]) -> list[DependenceEdge]:
+    return [edge for edges in pairs.values() for edge in edges]
+
+
+def _move(
+    edges: tuple[DependenceEdge, ...], moved: dict[int, AccessSite]
+) -> tuple[DependenceEdge, ...]:
+    """A kept pair's edges on its sites' current objects; ``moved``
+    maps ``id`` of each site an insert or delete shifted to its new one.
+
+    A shift keeps each site's statement and the two sites' order, so
+    :func:`classify_pair` would give the same kinds, vectors and
+    orientations: only the endpoints move.
+    """
+    return tuple(
+        DependenceEdge(
+            moved.get(id(edge.source), edge.source),
+            moved.get(id(edge.sink), edge.sink),
+            edge.kind,
+            edge.vector,
+            edge.loop_carried,
+        )
+        for edge in edges
+    )
+
+
+def _splice(
+    group: list[tuple[int, AccessSite, bool, bool]],
+    previous: list[_Row],
+    moved: dict[int, AccessSite],
+    misses: list[tuple[AccessSite, AccessSite, int, _Row]],
+    pending: list[_Row],
+) -> list[_Row]:
+    """One array's rows for its sites ``group`` (identity, site, whether
+    it writes, whether an insert or delete shifted it) given its
+    ``previous`` rows.
+
+    Pairs with no kept edges are appended to ``misses`` as (site, later
+    site, its identity, row), holding ``None`` in their row's pairs
+    until they are answered, and their rows to ``pending``.
+    """
+    n, m = len(group), len(previous)
+    # The last `same` sites are the previous sites as they were: their
+    # rows are the previous rows as they were.
+    same = 0
+    while same < min(n, m) and group[-1 - same][1] is previous[-1 - same].site:
+        same += 1
+    rows: list[_Row] = []
+    kept_pairs = None
+    for position, (site_id, site, writes, site_shifted) in enumerate(group):
+        tail = n - position
+        if tail <= same and previous[m - tail].exact:
+            rows.append(previous[m - tail])
+            continue
+        if kept_pairs is None:
+            kept_pairs = {row.site_id: row.pairs for row in previous}
+        cached = kept_pairs.get(site_id, {})
+        row = _Row(site_id, site, {}, [])
+        waiting = len(misses)
+        for later_id, later, later_writes, later_shifted in group[position + 1 :]:
+            if not (writes or later_writes):
+                continue
+            edges = cached.get(later_id)
+            if edges is None:
+                misses.append((site, later, later_id, row))
+            elif edges and (site_shifted or later_shifted):
+                edges = _move(edges, moved)
+            row.pairs[later_id] = edges
+        if len(misses) == waiting:
+            row.edges = _flatten(row.pairs)
+        else:
+            pending.append(row)
+        rows.append(row)
+    return rows
+
+
 class IncrementalSession:
     """Analyze a program once, then re-analyze its edits by delta.
 
-    The first :meth:`update` is a full analysis that seeds the pair
-    cache; every later call diffs fingerprints and re-queries only the
-    dirty pairs.  The session owns (or shares) a
-    :class:`~repro.core.memo.Memoizer`, so re-queries warm-start from
-    everything the session has ever computed.
+    The first :meth:`update` is a full analysis that seeds the rows;
+    every later call diffs fingerprints, re-queries only the pairs
+    with no kept edges and rebuilds only the rows an edit touched.  The
+    session owns (or shares) a :class:`~repro.core.memo.Memoizer`, so
+    re-queries warm-start from everything the session has ever computed.
     """
 
     def __init__(
@@ -181,7 +284,13 @@ class IncrementalSession:
         self.graph: DependenceGraph | None = None
         self.fingerprint: ProgramFingerprint | None = None
         self.spans = SpanCompiler()
-        self._pair_results: dict[str, DirectionResult] = {}
+        # Per statement of self.program: its identity (the identity of
+        # its first site; site k is identity + k) and its sites.
+        self._ids: list[int] = []
+        self._sites: list[tuple[AccessSite, ...]] = []
+        self._next_id = 0
+        # Per array, in first-appearance order: one row per site.
+        self._rows: dict[str, list[_Row]] = {}
 
     # -- the delta path ----------------------------------------------------
 
@@ -264,89 +373,48 @@ class IncrementalSession:
         else:
             delta = diff_fingerprints(self.fingerprint, new_fp)
 
-        pairs = reference_pairs(program)
-        keys = program_pair_keys(program, new_fp, pairs)
-        results: dict[int, DirectionResult] = {}
-        to_query: list[int] = []
-        for index, key in enumerate(keys):
-            cached = self._pair_results.get(key)
-            if cached is not None:
-                results[index] = cached
-            else:
-                to_query.append(index)
+        ids, sites, moved = self._carry(program, delta)
+        shifted = {id(site) for site in moved.values()}
+        by_array: dict[str, list[tuple[int, AccessSite, bool, bool]]] = {}
+        for base, stmt_sites in zip(ids, sites):
+            for ordinal, site in enumerate(stmt_sites):
+                by_array.setdefault(site.ref.array, []).append(
+                    (base + ordinal, site, site.ref.is_write, id(site) in shifted)
+                )
 
-        if to_query:
-            report = analyze_batch(
-                [
-                    PairQuery(
-                        ref1=pairs[index][0].ref,
-                        nest1=pairs[index][0].nest,
-                        ref2=pairs[index][1].ref,
-                        nest2=pairs[index][1].nest,
-                        tag=index,
-                    )
-                    for index in to_query
-                ],
-                jobs=self.jobs,
-                warm=self.memoizer,
-                want_directions=True,
-                want_witness=False,
-                improved=self.improved,
-                symmetry=self.symmetry,
-                fm_budget=self.fm_budget,
-                budget=self.budget,
-                share_warm=True,
+        misses: list[tuple[AccessSite, AccessSite, int, _Row]] = []
+        pending: list[_Row] = []
+        rows: dict[str, list[_Row]] = {}
+        for array, group in by_array.items():
+            rows[array] = _splice(
+                group, self._rows.get(array, []), moved, misses, pending
             )
-            if report.memoizer is not self.memoizer:
-                # Multi-job path: fold the workers' new entries back in
-                # (share_warm already did this in place when jobs=1).
-                self.memoizer.merge_from(report.memoizer)
-            for outcome in report.outcomes:
-                directions = outcome.directions
-                assert directions is not None  # want_directions=True
-                if (
-                    directions.degraded_reason is None
-                    and outcome.result.degraded_reason is not None
-                ):
-                    # The verdict itself was degraded: poison the
-                    # directions too so retention (below) skips them.
-                    directions = DirectionResult(
-                        vectors=directions.vectors,
-                        n_common=directions.n_common,
-                        exact=False,
-                        degraded_reason=outcome.result.degraded_reason,
-                    )
-                results[outcome.query.tag] = directions
-
-        # Splice: rebuild every edge in build_graph's exact pair order,
-        # so reused and re-queried answers are indistinguishable.
-        graph = DependenceGraph(program)
-        degraded_pairs = 0
-        retained: dict[str, DirectionResult] = {}
-        for index, (site1, site2) in enumerate(pairs):
-            directions = results[index]
-            if directions.degraded_reason is not None:
-                degraded_pairs += 1
-            else:
-                # The invalidation rule: the retained cache holds only
-                # this program's pairs (stale entries for removed or
-                # edited statements drop out) and only exact answers.
-                retained[keys[index]] = directions
-            for edge in classify_pair(site1, site2, directions=directions):
-                if edge.kind != "input":
-                    graph.edges.append(edge)
-
+        total_pairs = sum(
+            len(row.pairs) for array_rows in rows.values() for row in array_rows
+        )
+        degraded_pairs = self._requery(misses, pending) if misses else 0
+        graph = DependenceGraph(
+            program,
+            [
+                edge
+                for array_rows in rows.values()
+                for row in array_rows
+                for edge in row.edges
+            ],
+        )
         self.program = program
         self.graph = graph
         self.fingerprint = new_fp
-        self._pair_results = retained
+        self._ids = ids
+        self._sites = sites
+        self._rows = rows
 
         report_out = UpdateReport(
             graph=graph,
             delta=delta,
-            total_pairs=len(pairs),
-            reused_pairs=len(pairs) - len(to_query),
-            requeried_pairs=len(to_query),
+            total_pairs=total_pairs,
+            reused_pairs=total_pairs - len(misses),
+            requeried_pairs=len(misses),
             degraded_pairs=degraded_pairs,
             elapsed_s=time.perf_counter() - start,
             statements=len(program.statements),
@@ -356,6 +424,106 @@ class IncrementalSession:
             self.verify()
             report_out.verified = True
         return report_out
+
+    def _requery(
+        self,
+        misses: list[tuple[AccessSite, AccessSite, int, _Row]],
+        pending: list[_Row],
+    ) -> int:
+        """Answer and classify the pairs with no kept edges and complete
+        their ``pending`` rows; returns how many answers were degraded."""
+        report = analyze_batch(
+            [
+                PairQuery(
+                    ref1=site.ref,
+                    nest1=site.nest,
+                    ref2=later.ref,
+                    nest2=later.nest,
+                    tag=index,
+                )
+                for index, (site, later, _, _) in enumerate(misses)
+            ],
+            jobs=self.jobs,
+            warm=self.memoizer,
+            want_directions=True,
+            want_witness=False,
+            improved=self.improved,
+            symmetry=self.symmetry,
+            fm_budget=self.fm_budget,
+            budget=self.budget,
+            share_warm=True,
+        )
+        if report.memoizer is not self.memoizer:
+            # Multi-job path: fold the workers' new entries back in
+            # (share_warm already did this in place when jobs=1).
+            self.memoizer.merge_from(report.memoizer)
+        degraded = []
+        for outcome in report.outcomes:
+            directions = outcome.directions
+            assert directions is not None  # want_directions=True
+            site, later, later_id, row = misses[outcome.query.tag]
+            row.pairs[later_id] = tuple(
+                edge
+                for edge in classify_pair(site, later, directions=directions)
+                if edge.kind != "input"
+            )
+            if (
+                directions.degraded_reason is not None
+                or outcome.result.degraded_reason is not None
+            ):
+                degraded.append((row, later_id))
+        for row in pending:
+            row.edges = _flatten(row.pairs)
+        for row, later_id in degraded:
+            # The invalidation rule: a degraded answer reaches this
+            # graph but is not retained, and its row is rebuilt (and
+            # the pair re-queried) on the next update.
+            del row.pairs[later_id]
+            row.exact = False
+        return len(degraded)
+
+    def _carry(
+        self, program: Program, delta: FingerprintDelta
+    ) -> tuple[list[int], list[tuple[AccessSite, ...]], dict[int, AccessSite]]:
+        """Each statement's identity and sites, and the moved sites.
+
+        A kept statement keeps its identity, and its site objects while
+        its indices stay; when they moved, the third result maps ``id``
+        of each previous site to its new one.  The other statements get
+        fresh identities and sites.
+        """
+        old_of = {new: old for old, new in delta.kept}
+        ids: list[int] = []
+        sites: list[tuple[AccessSite, ...]] = []
+        moved: dict[int, AccessSite] = {}
+        offset = 0
+        for index, stmt in enumerate(program.statements):
+            old = old_of.get(index)
+            if old is None:
+                refs = stmt.refs()
+                base = self._next_id
+                self._next_id += len(refs)
+                stmt_sites = tuple(
+                    AccessSite(ref, stmt.nest, index, offset + ordinal)
+                    for ordinal, ref in enumerate(refs)
+                )
+            else:
+                base, stmt_sites = self._ids[old], self._sites[old]
+                if stmt_sites and (
+                    stmt_sites[0].stmt_index != index
+                    or stmt_sites[0].site_index != offset
+                ):
+                    previous = stmt_sites
+                    stmt_sites = tuple(
+                        AccessSite(site.ref, site.nest, index, offset + ordinal)
+                        for ordinal, site in enumerate(previous)
+                    )
+                    for site, now in zip(previous, stmt_sites):
+                        moved[id(site)] = now
+            ids.append(base)
+            sites.append(stmt_sites)
+            offset += len(stmt_sites)
+        return ids, sites, moved
 
     # -- the invariant -----------------------------------------------------
 

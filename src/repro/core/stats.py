@@ -35,14 +35,34 @@ _STAGE_TIMERS: dict[str, str] = {
 }
 
 
-def _scalar(name: str, doc: str) -> property:
-    def fget(self: "AnalyzerStats") -> int:
-        return self.registry.get(name)
+# attribute name -> registry name of every scalar counter, filled as
+# the AnalyzerStats class body names its _Scalar attributes.
+_SCALARS: dict[str, str] = {}
 
-    def fset(self: "AnalyzerStats", value: int) -> None:
-        self.registry.put(name, value)
 
-    return property(fget, fset, doc=doc)
+class _Scalar:
+    """One scalar counter as an attribute over its registry entry.
+
+    Reading is lock-free and assigning puts the value.  Increments go
+    through :meth:`AnalyzerStats.inc` instead: ``+=`` on the attribute
+    reads and writes in two steps, so threads sharing a registry would
+    lose counts.
+    """
+
+    def __init__(self, name: str, doc: str):
+        self.name = name
+        self.__doc__ = doc
+
+    def __set_name__(self, owner: type, attr: str) -> None:
+        _SCALARS[attr] = self.name
+
+    def __get__(self, stats: "AnalyzerStats | None", owner: type | None = None):
+        if stats is None:
+            return self
+        return stats.registry.get(self.name)
+
+    def __set__(self, stats: "AnalyzerStats", value: int) -> None:
+        stats.registry.put(self.name, value)
 
 
 def _family(name: str, doc: str) -> property:
@@ -55,9 +75,10 @@ def _family(name: str, doc: str) -> property:
 class AnalyzerStats:
     """Mutable counters accumulated by one analyzer run.
 
-    A thin view: all state lives in :attr:`registry`.  The attribute
-    API (``stats.total_queries += 1``, ``stats.decided_by["svpc"]``)
-    is unchanged from the pre-registry dataclass.
+    A thin view: all state lives in :attr:`registry`.  Counters read
+    as attributes (``stats.total_queries``, ``stats.decided_by["svpc"]``)
+    as in the pre-registry dataclass; increments go through
+    :meth:`inc`, which is atomic when threads share the registry.
     """
 
     __slots__ = ("registry",)
@@ -66,28 +87,28 @@ class AnalyzerStats:
         self.registry = registry if registry is not None else MetricsRegistry()
 
     # -- plain dependence queries (Tables 1 and 3) -------------------------
-    total_queries = _scalar("queries.total", "Dependence queries received.")
-    constant_cases = _scalar("queries.constant", "Constant fast-path cases.")
-    gcd_independent = _scalar(
+    total_queries = _Scalar("queries.total", "Dependence queries received.")
+    constant_cases = _Scalar("queries.constant", "Constant fast-path cases.")
+    gcd_independent = _Scalar(
         "queries.gcd_independent", "Queries Extended GCD proved independent."
     )
     decided_by = _family("tests.decided_by", "Cascade test -> queries decided.")
 
     # -- memoization (Tables 2 and 3) ----------------------------------------
-    memo_queries_no_bounds = _scalar(
+    memo_queries_no_bounds = _Scalar(
         "memo.no_bounds.queries", "No-bounds memo probes."
     )
-    memo_hits_no_bounds = _scalar("memo.no_bounds.hits", "No-bounds memo hits.")
-    memo_queries_bounds = _scalar(
+    memo_hits_no_bounds = _Scalar("memo.no_bounds.hits", "No-bounds memo hits.")
+    memo_queries_bounds = _Scalar(
         "memo.bounds.queries", "With-bounds memo probes."
     )
-    memo_hits_bounds = _scalar("memo.bounds.hits", "With-bounds memo hits.")
+    memo_hits_bounds = _Scalar("memo.bounds.hits", "With-bounds memo hits.")
 
     # -- direction vectors (Tables 4, 5 and 7) ---------------------------------
     direction_tests = _family(
         "tests.direction", "Cascade test -> direction-refinement invocations."
     )
-    direction_vectors_found = _scalar(
+    direction_vectors_found = _Scalar(
         "directions.vectors_found", "Direction vectors reported."
     )
 
@@ -95,6 +116,12 @@ class AnalyzerStats:
     outcomes = _family(
         "tests.outcomes", '(test, "independent"/"dependent") -> count.'
     )
+
+    def inc(self, counter: str, amount: int = 1) -> None:
+        """Add ``amount`` to the scalar counter ``counter``, named as
+        its attribute (``stats.inc("total_queries")``), in one locked
+        read-modify-write of the registry."""
+        self.registry.inc(_SCALARS[counter], amount)
 
     def record_decision(self, test_name: str, independent: bool) -> None:
         outcome = "independent" if independent else "dependent"

@@ -26,10 +26,10 @@ fingerprint bit-for-bit.  Statement labels are deliberately excluded —
 they never influence a dependence verdict.
 
 The **pair key** is the same construction applied to an ordered pair
-of access sites; it names one dependence question, so a cached answer
-keyed on it survives any edit that leaves both endpoints' statements
-untouched (including statement insertions and deletions that merely
-shift indices).
+of access sites; it names one dependence question.  The incremental
+engine keys its kept answers by statement identity instead, carried
+through :func:`diff_fingerprints`' kept map, so keying them costs no
+hashing at all.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "statement_fingerprint",
     "program_fingerprint",
     "pair_key",
-    "program_pair_keys",
     "ProgramFingerprint",
     "FingerprintDelta",
     "diff_fingerprints",
@@ -91,40 +90,6 @@ def pair_key(site1: AccessSite, site2: AccessSite) -> str:
             "nest2": nest_to_dict(site2.nest),
         }
     )
-
-
-def program_pair_keys(
-    program: Program,
-    fp: "ProgramFingerprint",
-    pairs: list[tuple[AccessSite, AccessSite]],
-) -> list[str]:
-    """Content keys for ``pairs``, the program's
-    :func:`~repro.ir.program.reference_pairs`, in order; ``fp`` is the
-    program's :func:`program_fingerprint`.
-
-    The incremental engine's bulk spelling of :func:`pair_key`: each
-    key is built from the two endpoint statements' fingerprints (one
-    digest per *statement*, already computed for the program diff) plus
-    each site's ordinal within its statement, so keying all O(n²) pairs
-    costs no per-pair hashing.  A statement fingerprint determines the
-    statement's exact content and the ordinal selects the site, so
-    equal keys still mean textually identical questions — merely
-    slightly narrower sharing than :func:`pair_key` (two identical
-    questions posed from *differing* statements get distinct keys).
-    """
-    offsets: list[int] = []
-    total = 0
-    for stmt in program.statements:
-        offsets.append(total)
-        total += len(stmt.refs())
-    keys: list[str] = []
-    for site1, site2 in pairs:
-        fp1 = fp.statements[site1.stmt_index]
-        fp2 = fp.statements[site2.stmt_index]
-        ordinal1 = site1.site_index - offsets[site1.stmt_index]
-        ordinal2 = site2.site_index - offsets[site2.stmt_index]
-        keys.append(f"{fp1}:{ordinal1}|{fp2}:{ordinal2}")
-    return keys
 
 
 @dataclass(frozen=True)

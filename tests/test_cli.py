@@ -1,11 +1,16 @@
 """Tests for the command-line interfaces."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main as repro_main
 from repro.harness.cli import main as harness_main
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 SOURCE = """
 for i = 2 to 10 do
@@ -148,6 +153,28 @@ class TestVectorizeCommand:
         assert repro_main(["vectorize", source_file]) == 0
         out = capsys.readouterr().out
         assert "DO i (serial)" in out
+
+    @pytest.mark.parametrize("name", ["rowsum.py", "trisolve.c"])
+    def test_vectorize_output_ignores_the_hash_seed(self, name, capsys):
+        """Nests print in program order, so every ``PYTHONHASHSEED``
+        prints the same bytes."""
+        path = REPO / "tests" / "corpus" / "frontends" / name
+        pythonpath = os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-m", "repro", "vectorize", str(path)],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath),
+                capture_output=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for seed in ("0", "1", "2")
+        }
+        assert len(outputs) == 1
+        assert repro_main(["vectorize", str(path)]) == 0
+        assert outputs == {capsys.readouterr().out.encode()}
 
 
 class TestDotCommand:

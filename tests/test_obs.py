@@ -452,6 +452,41 @@ class TestMetricsThreadSafety:
         assert registry.family("decided_by")["svpc"] == total
         assert registry.histogram("latency").count == total
 
+    def test_analyzer_stats_increments_are_exact_across_threads(self):
+        """``stats.inc`` is one locked read-modify-write: threads that
+        share an analyzer's stats (the daemon's worker threads) lose no
+        counts even when the interpreter switches threads every 1 µs."""
+        import sys
+        import threading
+
+        stats = AnalyzerStats()
+        analyzer = DependenceAnalyzer(memoizer=Memoizer())
+        nest = B.nest(("i", 1, 10))
+        ref1 = B.ref("a", [1], write=True)
+        ref2 = B.ref("a", [2])
+        n_threads, per_thread, queries = 8, 20_000, 2_000
+
+        def hammer():
+            for _ in range(queries):
+                analyzer.analyze(ref1, nest, ref2, nest)
+            for _ in range(per_thread):
+                stats.inc("total_queries")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert stats.total_queries == n_threads * per_thread == 160_000
+        assert analyzer.stats.total_queries == n_threads * queries
+        assert analyzer.stats.constant_cases == n_threads * queries
+
     def test_concurrent_merge_and_snapshot(self):
         import threading
 
