@@ -40,7 +40,7 @@ One process keeps the analyzer warm for every caller:
   only those) and the pairs it dirtied.  Session ops bypass the fast
   lane and single-flight (they are stateful) but share the admission limit,
   the deadline and the in-analyzer budget; a deadline-degraded
-  response never contaminates the retained graph — the shielded
+  response never contaminates the retained graph — the uncancelled
   computation finishes in its worker thread and the session keeps
   only the exact result.
 """
@@ -52,6 +52,7 @@ import json
 import signal
 import sys
 import threading
+import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -629,30 +630,44 @@ class DependenceServer:
         On timeout the caller's ``degrade()`` answer is returned at
         once, flagged; the worker thread keeps going and its eventual
         result still lands in the shared memo tables.
+
+        The worker's own clock decides a miss: work that finished after
+        the deadline is degraded even when the event loop sees its
+        result before its timer, which it can when the worker holds the
+        GIL past the deadline.  So the verdict depends on how long the
+        work took, not on which thread the interpreter ran first.
         """
         loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self._executor, work)
         deadline = self.config.deadline_ms
         if deadline is None:
-            return await future
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(future), timeout=deadline / 1000.0
-            )
-        except asyncio.TimeoutError:
-            self.registry.inc("serve.degraded")
-            # The serving deadline is one more blown resource budget:
-            # account for it in the same robust.degraded.* family the
-            # in-analyzer governor uses, so one metrics query covers
-            # every degradation path.
-            self.registry.inc_family("robust.degraded", REASON_DEADLINE)
-            # The orphaned work can still fail (a source error found
-            # after the deadline, now that compiles run inside it): read
-            # its outcome so asyncio does not log it as never retrieved.
-            future.add_done_callback(
-                lambda done: done.cancelled() or done.exception()
-            )
-            return degrade()
+            return await loop.run_in_executor(self._executor, work)
+        expires = time.monotonic() + deadline / 1000.0
+        finished: list[float] = []
+
+        def timed_work():
+            try:
+                return work()
+            finally:
+                finished.append(time.monotonic())
+
+        future = loop.run_in_executor(self._executor, timed_work)
+        # The clock runs from before the hand-over, which can wait on a
+        # new pool thread.  asyncio.wait never cancels the future, so a
+        # miss is answered on the first loop pass after the timer.
+        await asyncio.wait((future,), timeout=expires - time.monotonic())
+        if future.done() and not (finished and finished[0] > expires):
+            return future.result()  # in time, or cancelled before it ran
+        self.registry.inc("serve.degraded")
+        # The serving deadline is one more blown resource budget:
+        # account for it in the same robust.degraded.* family the
+        # in-analyzer governor uses, so one metrics query covers every
+        # degradation path.
+        self.registry.inc_family("robust.degraded", REASON_DEADLINE)
+        # The orphaned work can still fail (a source error found after
+        # the deadline, now that compiles run inside it): read its
+        # outcome so asyncio does not log it as never retrieved.
+        future.add_done_callback(lambda done: done.cancelled() or done.exception())
+        return degrade()
 
     async def _decode_off_loop(self, params: dict) -> tuple[Any, Any, Any, Any]:
         """:meth:`_decode_query`, compiling a ``source`` in a worker
@@ -849,8 +864,8 @@ class DependenceServer:
                 ErrorCode.BAD_REQUEST, "'epoch' must be a non-negative integer"
             )
         # The id is allocated before the work runs, so a deadline can
-        # degrade the *response* while the shielded computation still
-        # completes and the session remains usable under this id.
+        # degrade the *response* while the computation still completes
+        # and the session remains usable under this id.
         if sid_param is None:
             self._session_counter += 1
             sid = f"s{self._session_counter}"
@@ -927,9 +942,9 @@ class DependenceServer:
                 return summary
 
         def degrade() -> dict:
-            # The hedge covers only this response.  The shielded update
-            # still completes under the lock, and only its exact result
-            # is retained — a degraded verdict never enters the
+            # The hedge covers only this response.  The update still
+            # completes under the lock, and only its exact result is
+            # retained — a degraded verdict never enters the
             # session's graph or pair cache via the deadline path.
             return {"session": sid, "degraded": True}
 
@@ -1030,6 +1045,4 @@ def _source_lang(source: Any, lang: Any) -> str:
 
 
 def _now_ns() -> int:
-    import time
-
     return time.perf_counter_ns()

@@ -662,6 +662,43 @@ class TestDeadlineDegradation:
         assert all(p["degraded"] for p in result["pairs"])
         assert all(p["dependent"] for p in result["pairs"])
 
+    def test_a_late_result_degrades_however_threads_are_scheduled(self):
+        """The worker's clock decides a miss.  With a 50 ms switch
+        interval the worker keeps the GIL well past a 1 ms deadline, so
+        the event loop sees the finished work before its timer; the
+        answer must still be the degraded one.  Each try is a cold
+        server, so the batch is tens of times the deadline."""
+        import sys
+
+        body = "\n".join(
+            f"    a[i + {k}][j] = a[i][j + {k}]" for k in range(6)
+        )
+        source = (
+            "for i = 1 to 50 do\n"
+            "  for j = 1 to 50 do\n"
+            f"{body}\n"
+            "  end\n"
+            "end\n"
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(0.05)
+        try:
+            for _ in range(3):
+                handle = _RunningServer(
+                    ServeConfig(announce=False, deadline_ms=1.0)
+                )
+                try:
+                    with handle.client(timeout=120.0) as client:
+                        result = client.analyze_program(source)
+                        stats = client.stats()
+                finally:
+                    handle.stop()
+                assert result["summary"] == {"degraded": True}
+                assert all(p["degraded"] for p in result["pairs"])
+                assert stats["registry"]["scalars"]["serve.degraded"] == 1
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_deadline_covers_the_compile(self):
         """analyze_program compiles in its worker thread, under the
         deadline: a large source degrades near the deadline instead of
