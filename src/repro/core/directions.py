@@ -34,6 +34,7 @@ from repro.deptests.base import Verdict
 from repro.obs.events import DirectionNode
 from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.robust.budget import NULL_SCOPE, BudgetScope
+from repro.system.constraints import ConstraintSystem, LinearConstraint
 from repro.system.depsystem import DependenceProblem, Direction
 from repro.system.transform import TransformedSystem
 
@@ -106,6 +107,9 @@ def refine_directions(
         vector[level] = Direction.ANY
 
     recurse(template, 0)
+    # recurse refers to itself through its closure; dropping the name
+    # frees this refinement's state now, not at a cyclic collection.
+    del recurse
 
     return DirectionResult(
         vectors=frozenset(leaves),
@@ -126,7 +130,13 @@ def lift_vector(
 
 
 class _RefineState:
-    """Shared bookkeeping for one refinement run."""
+    """Shared bookkeeping for one refinement run.
+
+    Each level's direction rows are rewritten into t-space once, on
+    first use, and every vector's system reuses them: a sub-query's
+    system is the transformed bounds plus, level by level in order, the
+    cached rows of that level's direction.
+    """
 
     def __init__(
         self,
@@ -145,22 +155,30 @@ class _RefineState:
         self.tests = 0
         self.exact = True
         self.stage_ns = stage_ns
-        self._cache: dict[tuple[str, ...], tuple[Verdict, bool]] = {}
+        self._level_rows: dict[tuple[int, str], list[LinearConstraint]] = {}
+
+    def _rows(self, level: int, direction: str) -> list[LinearConstraint]:
+        """The t-space rows of ``i_level direction i'_level``."""
+        key = (level, direction)
+        rows = self._level_rows.get(key)
+        if rows is None:
+            rows = self.transformed.rows(
+                self.problem.direction_rows(level, direction)
+            )
+            self._level_rows[key] = rows
+        return rows
 
     def test(self, vector: tuple[str, ...]) -> tuple[Verdict, bool]:
         """Run the cascade under the vector's direction constraints."""
         # Refinement fans out up to 3^depth sub-queries: the budget's
         # wall clock governs the whole tree walk.
         self.scope.tick()
-        if vector in self._cache:
-            if self.sink.enabled:
-                self.sink.emit(DirectionNode(vector=vector, action="cached"))
-            return self._cache[vector]
-        rows: list = []
+        rows = list(self.transformed.system.constraints)
         for level, direction in enumerate(vector):
-            rows.extend(self.problem.direction_rows(level, direction))
+            if direction != Direction.ANY:
+                rows += self._rows(level, direction)
         decision = self.analyzer._run_cascade(
-            self.transformed.with_rows(rows),
+            ConstraintSystem(self.transformed.t_names, rows),
             record=False,
             sink=self.sink,
             scope=self.scope,
@@ -178,6 +196,4 @@ class _RefineState:
                     verdict=result.verdict.value,
                 )
             )
-        outcome = (result.verdict, result.exact)
-        self._cache[vector] = outcome
-        return outcome
+        return result.verdict, result.exact

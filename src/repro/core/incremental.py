@@ -71,8 +71,9 @@ from repro.ir.fingerprint import (
     ProgramFingerprint,
     diff_fingerprints,
     program_fingerprint,
+    statement_fingerprint,
 )
-from repro.ir.program import AccessSite, Program
+from repro.ir.program import AccessSite, Program, Statement
 from repro.opt.pipeline import compile_source
 from repro.opt.spans import SpanCompiler
 from repro.robust.budget import ResourceBudget
@@ -283,6 +284,9 @@ class IncrementalSession:
         self.program: Program | None = None
         self.graph: DependenceGraph | None = None
         self.fingerprint: ProgramFingerprint | None = None
+        # The statements self.fingerprint was taken of, in order: held
+        # so that an update can match the objects it is passed back.
+        self._statements: tuple[Statement, ...] = ()
         self.spans = SpanCompiler()
         # Per statement of self.program: its identity (the identity of
         # its first site; site k is identity + k) and its sites.
@@ -300,10 +304,24 @@ class IncrementalSession:
         Returns the new graph plus delta statistics.  With
         ``verify=True`` a cold full re-analysis runs afterwards and any
         divergence raises :class:`IncrementalMismatchError` (intended
-        for tests and smoke jobs; it forfeits the speedup).
+        for tests and smoke jobs; it forfeits the speedup).  A statement
+        that is the very object of the last program keeps its fingerprint;
+        only new objects are hashed.
         """
         start = time.perf_counter()
-        return self._update(program, program_fingerprint(program), start, verify)
+        known: dict[int, str] = {}
+        if self.fingerprint is not None:
+            known = {
+                id(stmt): fp
+                for stmt, fp in zip(self._statements, self.fingerprint.statements)
+            }
+        fingerprints = tuple(
+            known.get(id(stmt)) or statement_fingerprint(stmt)
+            for stmt in program.statements
+        )
+        return self._update(
+            program, program_fingerprint(program, fingerprints), start, verify
+        )
 
     def update_source(
         self,
@@ -405,6 +423,7 @@ class IncrementalSession:
         self.program = program
         self.graph = graph
         self.fingerprint = new_fp
+        self._statements = tuple(program.statements)
         self._ids = ids
         self._sites = sites
         self._rows = rows

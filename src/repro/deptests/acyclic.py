@@ -30,12 +30,7 @@ from repro.deptests.base import CascadeTest, TestResult, Verdict
 from repro.linalg.gcdext import floor_div
 from repro.obs.sinks import TraceSink
 from repro.robust.budget import NULL_SCOPE, BudgetScope
-from repro.system.constraints import (
-    NEG_INF,
-    POS_INF,
-    ConstraintSystem,
-    LinearConstraint,
-)
+from repro.system.constraints import ConstraintSystem, LinearConstraint
 
 __all__ = ["AcyclicTest", "AcyclicElimination", "build_constraint_graph"]
 
@@ -156,76 +151,98 @@ class AcyclicTest(CascadeTest):
     def eliminate(
         self, system: ConstraintSystem, scope: BudgetScope = NULL_SCOPE
     ) -> AcyclicElimination:
-        """Run the one-direction-variable elimination to completion or cycle."""
-        result = AcyclicElimination(n_vars=system.n_vars)
-        constraints = list(system.constraints)
-        eliminated: set[int] = set()
+        """Run the one-direction-variable elimination to completion or cycle.
+
+        Each round is one pass over the rows.  It gathers the tightest
+        single-variable bounds and, from the multi-variable rows, two
+        sign masks: the variables some row bounds from above (a
+        positive coefficient) and those some row bounds from below.  A
+        variable in exactly one mask is constrained in one direction
+        only; the lowest such is eliminated.  Rows carry their positive
+        mask beside them, and trivial rows are dropped as they appear.
+        """
+        n_vars = system.n_vars
+        result = AcyclicElimination(n_vars=n_vars)
+        rows = [
+            (con, _positive_mask(con.coeffs) if con.mask & (con.mask - 1) else 0)
+            for con in system.constraints
+            if con.mask or con.bound < 0
+        ]
+        eliminated = 0
 
         while True:
             scope.tick()
-            constraints = [c for c in constraints if not c.is_trivial]
-            if any(c.is_contradiction for c in constraints):
-                result.verdict = Verdict.INDEPENDENT
-                return result
+            lows: list[int | None] = [None] * n_vars
+            highs: list[int | None] = [None] * n_vars
+            positive = negative = 0
+            for con, pos in rows:
+                mask = con.mask
+                if mask & (mask - 1):
+                    positive |= pos
+                    negative |= mask ^ pos
+                    continue
+                if not mask:  # a contradiction: trivial rows are gone
+                    result.verdict = Verdict.INDEPENDENT
+                    return result
+                var = mask.bit_length() - 1
+                a = con.coeffs[var]
+                if a > 0:
+                    value = con.bound // a
+                    if highs[var] is None or value < highs[var]:
+                        highs[var] = value
+                        if lows[var] is not None and value < lows[var]:
+                            result.verdict = Verdict.INDEPENDENT
+                            return result
+                else:
+                    # a*t <= b with a < 0  ==>  t >= ceil(b/a) = -floor(b/|a|).
+                    value = -(con.bound // -a)
+                    if lows[var] is None or value > lows[var]:
+                        lows[var] = value
+                        if highs[var] is not None and value > highs[var]:
+                            result.verdict = Verdict.INDEPENDENT
+                            return result
 
-            work = ConstraintSystem(system.names, constraints)
-            intervals = work.single_variable_intervals()
-            if any(iv.empty for iv in intervals):
-                result.verdict = Verdict.INDEPENDENT
-                return result
-
-            multi = [c for c in constraints if c.num_vars_used >= 2]
-            if not multi:
+            if not positive | negative:  # no multi-variable row left
                 result.verdict = Verdict.DEPENDENT
-                for var in range(system.n_vars):
-                    if var not in eliminated:
-                        result.base_values[var] = intervals[var].pick()
+                for var in range(n_vars):
+                    if not eliminated >> var & 1:
+                        value = lows[var]
+                        if value is None:
+                            value = highs[var]
+                        result.base_values[var] = 0 if value is None else value
                 return result
 
-            candidate = self._find_one_direction_variable(multi)
-            if candidate is None:
-                result.residual = ConstraintSystem(system.names, constraints)
+            one_way = positive ^ negative
+            if not one_way:
+                result.residual = ConstraintSystem(
+                    system.names, [con for con, _ in rows]
+                )
                 return result
 
-            var, positive = candidate
-            eliminated.add(var)
-            extreme = intervals[var].lo if positive else intervals[var].hi
-            if extreme in (NEG_INF, POS_INF):
-                bit = 1 << var
-                removed = [c for c in constraints if c.mask & bit]
-                constraints = [c for c in constraints if not c.mask & bit]
-                kind = _DEFER_LOW if positive else _DEFER_HIGH
+            bit = one_way & -one_way
+            var = bit.bit_length() - 1
+            eliminated |= bit
+            # Only bounded above through multi-variable rows: pin to the
+            # lower extreme (and symmetrically).
+            up_only = bool(positive & bit)
+            extreme = lows[var] if up_only else highs[var]
+            if extreme is None:
+                removed = [con for con, _ in rows if con.mask & bit]
+                rows = [row for row in rows if not row[0].mask & bit]
+                kind = _DEFER_LOW if up_only else _DEFER_HIGH
                 result.steps.append((kind, var, removed))
                 continue
-            value = int(extreme)
-            constraints = [c.substitute(var, value) for c in constraints]
-            result.steps.append((_PIN, var, value))
-
-    @staticmethod
-    def _find_one_direction_variable(
-        multi: list[LinearConstraint],
-    ) -> tuple[int, bool] | None:
-        """A variable whose coefficients in ``multi`` all share one sign.
-
-        Returns ``(var, positive)`` — positive=True means the variable is
-        only bounded *above* through multi-variable constraints, so it may
-        be pinned to its lower extreme.
-        """
-        signs: dict[int, int] = {}
-        for con in multi:
-            for var in con.variables():
-                sign = 1 if con.coeffs[var] > 0 else -1
-                prev = signs.get(var)
-                if prev is None:
-                    signs[var] = sign
-                elif prev != sign:
-                    signs[var] = 0
-        for var, sign in sorted(signs.items()):
-            if sign == 1:
-                return var, True
-            if sign == -1:
-                return var, False
-        return None
+            pinned = []
+            for row in rows:
+                con = row[0]
+                if con.mask & bit:
+                    con = con.substitute(var, extreme)
+                    if not con.mask and con.bound >= 0:
+                        continue  # trivial
+                    row = (con, row[1] & ~bit)
+                pinned.append(row)
+            rows = pinned
+            result.steps.append((_PIN, var, extreme))
 
     def _decide(
         self, system: ConstraintSystem, sink: TraceSink, scope: BudgetScope
@@ -243,3 +260,14 @@ class AcyclicTest(CascadeTest):
             residual=elimination.residual,
             completion=elimination.complete_witness,
         )
+
+
+def _positive_mask(coeffs: tuple[int, ...]) -> int:
+    """Bit ``i`` set iff ``coeffs[i] > 0``."""
+    mask = 0
+    bit = 1
+    for c in coeffs:
+        if c > 0:
+            mask |= bit
+        bit <<= 1
+    return mask

@@ -21,36 +21,37 @@ range.  Two refinements recover exactness in common cases:
   (treated as dependent); the paper never needed explicit branching on
   its workload and neither do we on ours.
 
-All arithmetic is exact: eliminations cross-multiply integers (with gcd
-renormalization, a valid integer tightening), and interval endpoints
-during back-substitution are :class:`fractions.Fraction`.
+All arithmetic is exact and integral.  The solver works on plain rows
+``(coeffs, bound)`` meaning ``coeffs . t <= bound``: eliminations
+cross-multiply integers (with gcd renormalization, a valid integer
+tightening, exactly as :meth:`LinearConstraint.make` does), and each
+end of a back-substitution range is a ratio ``num / den`` with
+``den > 0``, compared by cross-multiplication and rounded with integer
+floor division.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from repro.deptests.base import CascadeTest, TestResult, Verdict
 from repro.obs.events import FmBranch, FmSample
 from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.robust.budget import NULL_SCOPE, BudgetScope
-from repro.system.constraints import ConstraintSystem, LinearConstraint
+from repro.system.constraints import ConstraintSystem
 
 __all__ = ["FourierMotzkinTest"]
 
+# A row ``(coeffs, bound)``: ``sum(coeffs[j] * t[j]) <= bound``, gcd-normalized.
+Row = tuple[tuple[int, ...], int]
+# One eliminated variable with its bounding rows: ``(var, lowers, uppers)``,
+# lowers having a negative coefficient of ``var``, uppers a positive one.
+Elimination = tuple[int, list[Row], list[Row]]
 # Unbounded range ends are represented as None (no sentinel magnitude:
-# symbolic bounds can legitimately exceed any finite sentinel).
-
-
-@dataclass
-class _Elimination:
-    """One eliminated variable with its bounding constraints."""
-
-    var: int
-    lowers: list[LinearConstraint]  # coeff of var < 0: var >= .../...
-    uppers: list[LinearConstraint]  # coeff of var > 0: var <= .../...
+# symbolic bounds can legitimately exceed any finite sentinel); a finite
+# end is a ratio ``(num, den)`` with ``den > 0``.
+End = tuple[int, int] | None
 
 
 class FourierMotzkinTest(CascadeTest):
@@ -68,9 +69,8 @@ class FourierMotzkinTest(CascadeTest):
         self, system: ConstraintSystem, sink: TraceSink, scope: BudgetScope
     ) -> TestResult:
         budget = [self.max_branch_nodes]
-        verdict, witness = self._solve(
-            list(system.constraints), system.n_vars, budget, sink, scope=scope
-        )
+        rows = [(con.coeffs, con.bound) for con in system.constraints]
+        verdict, witness = self._solve(rows, system.n_vars, budget, sink, scope=scope)
         if verdict is Verdict.DEPENDENT:
             return TestResult(verdict, self.name, witness=witness)
         if verdict is Verdict.UNKNOWN:
@@ -81,180 +81,57 @@ class FourierMotzkinTest(CascadeTest):
 
     def _solve(
         self,
-        constraints: list[LinearConstraint],
+        rows: list[Row],
         n_vars: int,
         budget: list[int],
         sink: TraceSink = NULL_SINK,
         depth: int = 0,
         scope: BudgetScope = NULL_SCOPE,
     ) -> tuple[Verdict, tuple[int, ...] | None]:
-        eliminations, infeasible = self._eliminate_all(
-            constraints, n_vars, scope
-        )
-        if infeasible:
+        eliminations = _eliminate_all(rows, n_vars, scope)
+        if eliminations is None:
             return Verdict.INDEPENDENT, None
 
-        values: dict[int, int] = {}
-        assigned = 0  # mask of the variables already given values
-        for step in reversed(eliminations):
-            lo, hi = self._range(step, values)
-            int_lo = None if lo is None else _ceil(lo)
-            int_hi = None if hi is None else _floor(hi)
+        values = [0] * n_vars
+        for var, lowers, uppers in reversed(eliminations):
+            lo, hi = _range(var, lowers, uppers, values)
+            int_lo = None if lo is None else -(-lo[0] // lo[1])
+            int_hi = None if hi is None else hi[0] // hi[1]
             if int_lo is not None and int_hi is not None and int_lo > int_hi:
                 # An empty integer range needs both ends finite; an
-                # unbounded end always holds integers.
-                if self._bounds_are_constant(step, assigned):
+                # unbounded end always holds integers.  Every variable
+                # after this one in the order already has a value, so
+                # the range is constant iff its rows mention only var.
+                if all(
+                    coeffs.count(0) == n_vars - 1 for coeffs, _ in lowers + uppers
+                ):
                     # No integer in a constant range: exactly independent.
                     if sink.enabled:
-                        sink.emit(
-                            FmSample(var=step.var, outcome="empty_constant_range")
-                        )
+                        sink.emit(FmSample(var=var, outcome="empty_constant_range"))
                     return Verdict.INDEPENDENT, None
                 return self._branch(
-                    constraints,
-                    n_vars,
-                    step.var,
-                    lo,
-                    hi,
-                    budget,
-                    sink,
-                    depth,
-                    scope,
+                    rows, n_vars, var, lo, hi, budget, sink, depth, scope
                 )
-            mid = _middle(lo, hi, int_lo, int_hi)
+            if lo is None:
+                mid = 0 if hi is None else int_hi
+            elif hi is None:
+                mid = int_lo
+            else:
+                # The integer nearest the middle, clamped into range.
+                mid = max(int_lo, min(int_hi, _floor_middle(lo, hi)))
             if sink.enabled:
-                sink.emit(
-                    FmSample(var=step.var, outcome="integer_picked", value=mid)
-                )
-            values[step.var] = mid
-            assigned |= 1 << step.var
+                sink.emit(FmSample(var=var, outcome="integer_picked", value=mid))
+            values[var] = mid
 
-        witness = tuple(values.get(v, 0) for v in range(n_vars))
-        return Verdict.DEPENDENT, witness
-
-    def _eliminate_all(
-        self,
-        constraints: list[LinearConstraint],
-        n_vars: int,
-        scope: BudgetScope = NULL_SCOPE,
-    ) -> tuple[list[_Elimination], bool]:
-        """Project out every variable; True flag means real-infeasible."""
-        current = _dedupe(constraints)
-        if any(c.is_contradiction for c in current):
-            return [], True
-        remaining = set(range(n_vars))
-        eliminations: list[_Elimination] = []
-        while remaining:
-            # Elimination can square the constraint count per variable
-            # and cross-multiplication grows coefficients — the two
-            # blowup axes a budget bounds (plus the wall clock).
-            scope.tick()
-            var = self._pick_variable(current, remaining)
-            remaining.discard(var)
-            bit = 1 << var
-            lowers: list[LinearConstraint] = []
-            uppers: list[LinearConstraint] = []
-            others: list[LinearConstraint] = []
-            for c in current:
-                if not c.mask & bit:
-                    others.append(c)
-                elif c.coeffs[var] < 0:
-                    lowers.append(c)
-                else:
-                    uppers.append(c)
-            eliminations.append(_Elimination(var, lowers, uppers))
-            combos: list[LinearConstraint] = []
-            for low in lowers:
-                a_l = low.coeffs[var]  # < 0
-                for up in uppers:
-                    a_u = up.coeffs[var]  # > 0
-                    # a_u * low + (-a_l) * up eliminates var exactly.
-                    coeffs = [
-                        a_u * cl - a_l * cu
-                        for cl, cu in zip(low.coeffs, up.coeffs)
-                    ]
-                    bound = a_u * low.bound - a_l * up.bound
-                    combos.append(LinearConstraint.make(coeffs, bound))
-            current = _dedupe(others + combos)
-            scope.check_constraints(len(current))
-            if scope.budget.max_coeff_bits is not None:
-                for con in combos:
-                    for value in con.coeffs:
-                        scope.check_coeff(value)
-                    scope.check_coeff(con.bound)
-            if any(c.is_contradiction for c in current):
-                return eliminations, True
-        if any(c.is_contradiction for c in current):
-            return eliminations, True
-        return eliminations, False
-
-    @staticmethod
-    def _pick_variable(
-        constraints: list[LinearConstraint], remaining: set[int]
-    ) -> int:
-        """Chernikova-style greedy order: minimize the p*q fill-in."""
-        best_var = min(remaining)
-        best_cost = None
-        for var in sorted(remaining):
-            bit = 1 << var
-            p = q = 0
-            for c in constraints:
-                if c.mask & bit:
-                    if c.coeffs[var] < 0:
-                        p += 1
-                    else:
-                        q += 1
-            cost = p * q - (p + q)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_var = var
-        return best_var
-
-    @staticmethod
-    def _range(
-        step: _Elimination, values: dict[int, int]
-    ) -> tuple[Fraction | None, Fraction | None]:
-        """The variable's allowed interval; None means unbounded."""
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for con in step.lowers:
-            a = con.coeffs[step.var]
-            rest = sum(
-                c * values[j]
-                for j, c in enumerate(con.coeffs)
-                if j != step.var and c != 0
-            )
-            bound = Fraction(con.bound - rest, a)  # a < 0 flips to lower bound
-            if lo is None or bound > lo:
-                lo = bound
-        for con in step.uppers:
-            a = con.coeffs[step.var]
-            rest = sum(
-                c * values[j]
-                for j, c in enumerate(con.coeffs)
-                if j != step.var and c != 0
-            )
-            bound = Fraction(con.bound - rest, a)
-            if hi is None or bound < hi:
-                hi = bound
-        return lo, hi
-
-    @staticmethod
-    def _bounds_are_constant(step: _Elimination, assigned: int) -> bool:
-        """True if no already-assigned variable occurs in the step's bounds.
-
-        ``assigned`` is a mask of the variables already given values.
-        """
-        others = assigned & ~(1 << step.var)
-        return not any(con.mask & others for con in step.lowers + step.uppers)
+        return Verdict.DEPENDENT, tuple(values)
 
     def _branch(
         self,
-        constraints: list[LinearConstraint],
+        rows: list[Row],
         n_vars: int,
         var: int,
-        lo: Fraction,
-        hi: Fraction,
+        lo: tuple[int, int],
+        hi: tuple[int, int],
         budget: list[int],
         sink: TraceSink = NULL_SINK,
         depth: int = 0,
@@ -270,8 +147,7 @@ class FourierMotzkinTest(CascadeTest):
         if budget[0] <= 0:
             return Verdict.UNKNOWN, None
         budget[0] -= 1
-        split = (lo + hi) / 2
-        floor_val = math.floor(split)
+        floor_val = _floor_middle(lo, hi)
         if sink.enabled:
             sink.emit(
                 FmBranch(
@@ -281,13 +157,15 @@ class FourierMotzkinTest(CascadeTest):
                     budget_left=budget[0],
                 )
             )
+        unit = [0] * n_vars
+        unit[var] = 1
+        below = (tuple(unit), floor_val)  # var <= floor
+        unit[var] = -1
+        above = (tuple(unit), -(floor_val + 1))  # var >= floor + 1
         unknown_seen = False
-        for extra in (
-            _upper_bound_constraint(n_vars, var, floor_val),
-            _lower_bound_constraint(n_vars, var, floor_val + 1),
-        ):
+        for extra in (below, above):
             verdict, witness = self._solve(
-                constraints + [extra], n_vars, budget, sink, depth + 1, scope
+                rows + [extra], n_vars, budget, sink, depth + 1, scope
             )
             if verdict is Verdict.DEPENDENT:
                 return verdict, witness
@@ -298,54 +176,122 @@ class FourierMotzkinTest(CascadeTest):
         return Verdict.INDEPENDENT, None
 
 
-def _upper_bound_constraint(n_vars: int, var: int, bound: int) -> LinearConstraint:
-    coeffs = [0] * n_vars
-    coeffs[var] = 1
-    return LinearConstraint.make(coeffs, bound)
-
-
-def _lower_bound_constraint(n_vars: int, var: int, bound: int) -> LinearConstraint:
-    coeffs = [0] * n_vars
-    coeffs[var] = -1
-    return LinearConstraint.make(coeffs, -bound)
-
-
-def _dedupe(constraints: list[LinearConstraint]) -> list[LinearConstraint]:
-    """Drop trivial constraints and keep the tightest bound per coeff row."""
-    best: dict[tuple[int, ...], LinearConstraint] = {}
-    contradictions: list[LinearConstraint] = []
-    for con in constraints:
-        if con.is_trivial:
+def _eliminate_all(
+    rows: list[Row], n_vars: int, scope: BudgetScope = NULL_SCOPE
+) -> list[Elimination] | None:
+    """Project out every variable; None means real-infeasible."""
+    # Drop trivial rows and keep the tightest bound per coefficient row.
+    best: dict[tuple[int, ...], int] = {}
+    for coeffs, bound in rows:
+        if not any(coeffs):
+            if bound < 0:
+                return None
             continue
-        if con.is_contradiction:
-            contradictions.append(con)
-            continue
-        prev = best.get(con.coeffs)
-        if prev is None or con.bound < prev.bound:
-            best[con.coeffs] = con
-    return contradictions + list(best.values())
+        prev = best.get(coeffs)
+        if prev is None or bound < prev:
+            best[coeffs] = bound
+    current = list(best.items())
+    check_bits = scope.budget.max_coeff_bits is not None
+    remaining = list(range(n_vars))
+    eliminations: list[Elimination] = []
+    while remaining:
+        # Elimination can square the constraint count per variable
+        # and cross-multiplication grows coefficients — the two
+        # blowup axes a budget bounds (plus the wall clock).
+        scope.tick()
+        var = _pick_variable(current, remaining)
+        remaining.remove(var)
+        lowers: list[Row] = []
+        uppers: list[Row] = []
+        best = {}
+        for row in current:
+            c = row[0][var]
+            if not c:
+                best[row[0]] = row[1]
+            elif c < 0:
+                lowers.append(row)
+            else:
+                uppers.append(row)
+        eliminations.append((var, lowers, uppers))
+        combos: list[Row] = []
+        contradictions = 0
+        for low, low_bound in lowers:
+            a_l = -low[var]  # > 0
+            for up, up_bound in uppers:
+                a_u = up[var]  # > 0
+                # a_u * low + a_l * up eliminates var exactly.
+                coeffs = tuple([a_u * cl + a_l * cu for cl, cu in zip(low, up)])
+                bound = a_u * low_bound + a_l * up_bound
+                g = math.gcd(*coeffs)
+                if g > 1:
+                    coeffs = tuple([c // g for c in coeffs])
+                    bound //= g
+                if check_bits:
+                    combos.append((coeffs, bound))
+                if not g:  # all-zero row: trivial or a contradiction
+                    if bound < 0:
+                        contradictions += 1
+                    continue
+                prev = best.get(coeffs)
+                if prev is None or bound < prev:
+                    best[coeffs] = bound
+        current = list(best.items())
+        scope.check_constraints(len(current) + contradictions)
+        if check_bits:
+            for coeffs, bound in combos:
+                for value in coeffs:
+                    scope.check_coeff(value)
+                scope.check_coeff(bound)
+        if contradictions:
+            return None
+    return eliminations
 
 
-def _ceil(value: Fraction) -> int:
-    return math.ceil(value)
+def _pick_variable(current: list[Row], remaining: list[int]) -> int:
+    """Chernikova-style greedy order: minimize the p*q fill-in.
+
+    ``remaining`` is ascending, so ties go to the lowest index.
+    """
+    best_var = remaining[0]
+    best_cost = None
+    for var in remaining:
+        p = q = 0
+        for coeffs, _ in current:
+            c = coeffs[var]
+            if c < 0:
+                p += 1
+            elif c:
+                q += 1
+        cost = p * q - (p + q)
+        if best_cost is None or cost < best_cost:
+            best_cost = cost
+            best_var = var
+    return best_var
 
 
-def _floor(value: Fraction) -> int:
-    return math.floor(value)
+def _range(
+    var: int, lowers: list[Row], uppers: list[Row], values: list[int]
+) -> tuple[End, End]:
+    """The variable's allowed interval as two ratios; None means unbounded.
+
+    ``values`` holds 0 for ``var`` and every unassigned variable, so a
+    row's full dot product with it is the rest of the row.
+    """
+    lo = hi = None
+    for coeffs, bound in lowers:
+        # a*var + rest <= bound with a < 0: var >= (rest - bound) / -a.
+        num = sum(map(mul, coeffs, values)) - bound
+        den = -coeffs[var]
+        if lo is None or num * lo[1] > lo[0] * den:
+            lo = (num, den)
+    for coeffs, bound in uppers:
+        num = bound - sum(map(mul, coeffs, values))
+        den = coeffs[var]
+        if hi is None or num * hi[1] < hi[0] * den:
+            hi = (num, den)
+    return lo, hi
 
 
-def _middle(
-    lo: Fraction | None,
-    hi: Fraction | None,
-    int_lo: int | None,
-    int_hi: int | None,
-) -> int:
-    """The integer nearest the middle of [lo, hi], clamped into range."""
-    if lo is None and hi is None:
-        return 0
-    if lo is None:
-        return int_hi
-    if hi is None:
-        return int_lo
-    mid = math.floor((lo + hi) / 2)
-    return max(int_lo, min(int_hi, mid))
+def _floor_middle(lo: tuple[int, int], hi: tuple[int, int]) -> int:
+    """``floor((lo + hi) / 2)`` for two ratios with positive denominators."""
+    return (lo[0] * hi[1] + hi[0] * lo[1]) // (2 * lo[1] * hi[1])

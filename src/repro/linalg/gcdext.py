@@ -1,7 +1,7 @@
 """Exact integer arithmetic helpers.
 
-Everything in the dependence analyzer runs on exact integer (or, inside
-Fourier-Motzkin, exact rational) arithmetic.  This module collects the
+Everything in the dependence analyzer runs on exact integer arithmetic
+(Fourier-Motzkin's rational range ends are integer ratios).  This module collects the
 number-theoretic primitives shared by the tests: gcds, extended gcds,
 and exact ceiling/floor division.
 """

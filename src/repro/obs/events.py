@@ -137,8 +137,7 @@ class DirectionNode:
     """One node of the hierarchical direction-refinement tree.
 
     ``action`` is ``"tested"`` (a cascade run happened; ``verdict``
-    holds its outcome — an independent verdict prunes the subtree),
-    ``"cached"`` (vector repeated within this refinement), or
+    holds its outcome — an independent verdict prunes the subtree) or
     ``"forced"`` (the starting template after distance-sign forcing;
     those levels are never tested at all).
     """

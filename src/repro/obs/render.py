@@ -76,8 +76,6 @@ def format_trace(events: Iterable[Any]) -> str:
                 lines.append(
                     f"    direction {vector}: tested -> {event.verdict}"
                 )
-            elif event.action == "cached":
-                lines.append(f"    direction {vector}: cached")
             else:
                 lines.append(f"    direction {vector}: forced by distances")
         elif isinstance(event, QueryEnd):

@@ -163,3 +163,75 @@ class TestExactnessAgainstOracle:
             return  # decided early (contradiction): no claim either way
         # stuck => there must be a cycle
         assert _graph_has_cycle(build_constraint_graph(system))
+
+
+def _steps(elimination):
+    """Steps as plain data: a pin's value, a deferral's removed rows."""
+    return [
+        (kind, var, payload if kind == "pin" else [
+            (con.coeffs, con.bound) for con in payload
+        ])
+        for kind, var, payload in elimination.steps
+    ]
+
+
+class TestEliminationSteps:
+    """The elimination's pins, deferrals and leftovers, in order."""
+
+    def test_pin_and_both_deferrals_leave_a_residual(self):
+        system = _system(
+            5,
+            ([-1, 0, 0, -1, 0], 2),
+            ([1, 0, 0, -1, 0], 8),
+            ([0, 0, 0, 3, 0], 4),
+            ([0, -1, 0, 0, 0], 8),
+            ([-2, 3, 0, 1, 0], -2),
+            ([0, 0, -1, 0, -1], 5),
+            ([0, 0, 0, 1, 3], 3),
+            ([0, 1, 0, 0, 0], -3),
+        )
+        elimination = AcyclicTest().eliminate(system)
+        assert elimination.verdict is None
+        assert _steps(elimination) == [
+            ("pin", 1, -8),
+            ("defer_high", 2, [((0, 0, -1, 0, -1), 5)]),
+            ("defer_low", 4, [((0, 0, 0, 1, 3), 3)]),
+        ]
+        assert elimination.base_values == {}
+        assert [
+            (con.coeffs, con.bound)
+            for con in elimination.residual.constraints
+        ] == [
+            ((-1, 0, 0, -1, 0), 2),
+            ((1, 0, 0, -1, 0), 8),
+            ((0, 0, 0, 1, 0), 1),
+            ((-2, 0, 0, 1, 0), 22),
+        ]
+        witness = elimination.complete_witness((-1, 0, 0, 0, 0))
+        assert witness == (-1, -8, -6, 0, 1)
+        assert system.evaluate(witness)
+
+    def test_full_elimination_sets_base_values(self):
+        system = _system(
+            5,
+            ([0, 0, 1, 0, 1], 8),
+            ([1, 0, 0, 0, 0], 7),
+            ([0, -1, 0, -2, 1], -2),
+            ([1, 0, 3, 0, -1], 4),
+            ([0, 0, -1, 0, 0], 2),
+            ([0, 0, 3, 3, 0], -2),
+        )
+        elimination = AcyclicTest().eliminate(system)
+        assert elimination.verdict is Verdict.DEPENDENT
+        assert _steps(elimination) == [
+            ("defer_low", 0, [
+                ((1, 0, 0, 0, 0), 7),
+                ((1, 0, 3, 0, -1), 4),
+            ]),
+            ("defer_high", 1, [((0, -1, 0, -2, 1), -2)]),
+            ("pin", 2, -2),
+        ]
+        assert elimination.base_values == {3: 1, 4: 10}
+        witness = elimination.complete_witness(None)
+        assert witness == (7, 10, -2, 1, 10)
+        assert system.evaluate(witness)

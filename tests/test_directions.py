@@ -1,9 +1,12 @@
 """Direction/distance vector tests against the enumeration oracle."""
 
+import gc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analyzer import DependenceAnalyzer
+from repro.core.directions import _RefineState
 from repro.ir import builder as B
 from repro.oracle.enumerate import (
     oracle_direction_vectors,
@@ -191,3 +194,28 @@ class TestDistancesAgainstOracle:
             assert result.distance is not None
             (d,) = result.distance
             assert truth == {(d,)}
+
+
+class TestRefinementState:
+    def test_refinement_frees_its_state_on_return(self):
+        # A refinement's state (its rewritten level rows among it) is
+        # freed by reference counting when it returns; cyclic garbage
+        # would pile up between collections and raise peak memory.
+        nest = B.nest(("i", 0, 10), ("j", 0, 10))
+        w = B.ref("a", [B.v("i"), B.v("j")], write=True)
+        r = B.ref("a", [B.v("i") * 2, B.v("j")])
+        analyzer = DependenceAnalyzer()
+        gc.collect()
+        gc.disable()
+        try:
+            analyzer.directions(w, nest, r, nest)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [
+                obj for obj in gc.garbage if isinstance(obj, _RefineState)
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not leaked

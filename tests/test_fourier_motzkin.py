@@ -1,11 +1,21 @@
 """Tests for Fourier-Motzkin elimination with integer heuristics."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deptests.base import Verdict
 from repro.deptests.fourier_motzkin import FourierMotzkinTest
+from repro.obs.events import FmBranch, FmSample
+from repro.obs.sinks import CollectingSink
 from repro.oracle.enumerate import solve_system
+from repro.robust.budget import (
+    REASON_COEFF_BITS,
+    REASON_LIVE_CONSTRAINTS,
+    BudgetExceeded,
+    BudgetScope,
+    ResourceBudget,
+)
 from repro.system.constraints import ConstraintSystem
 
 small = st.integers(min_value=-6, max_value=6)
@@ -185,3 +195,99 @@ class TestUnboundedRanges:
         result = FourierMotzkinTest().run(system)
         assert result.verdict is Verdict.DEPENDENT
         assert system.evaluate(result.witness)
+
+
+class TestIntegerRounding:
+    """Back-substitution ranges and branch splits that round negatives.
+
+    The witnesses pin which integer the test picks when a range's ends,
+    its middle or a branch split are negative and non-integral, where
+    ceiling and floor differ from truncation.
+    """
+
+    def test_negative_fractional_range_ends(self):
+        # With t1 = -9 picked first, t0's range is [-15/2, -17/3]: the
+        # integer ends are ceil -7 and floor -6, and the middle -79/12
+        # floors to -7.
+        system = _system(
+            2, ([-2, 1], 6), ([3, -2], 1), ([3, 0], -2), ([4, 4], 4)
+        )
+        result = FourierMotzkinTest().run(system)
+        assert result.verdict is Verdict.DEPENDENT
+        assert result.witness == (-7, -9)
+
+    def test_negative_fractional_branch_split(self):
+        # t1 = -1 leaves t0 the range [-8/3, -5/2], which holds no
+        # integer and leans on t1, so the test splits at floor(-31/12).
+        system = _system(2, ([-3, 4], 4), ([4, -2], -8))
+        sink = CollectingSink()
+        result = FourierMotzkinTest().run(system, sink)
+        assert result.verdict is Verdict.DEPENDENT
+        assert result.exact
+        assert result.witness == (-4, -2)
+        assert sink.events == [
+            FmSample(var=1, outcome="integer_picked", value=-1),
+            FmBranch(var=0, depth=0, split_floor=-3, budget_left=255),
+            FmSample(var=1, outcome="integer_picked", value=-2),
+            FmSample(var=0, outcome="integer_picked", value=-4),
+        ]
+
+
+class _CountingScope(BudgetScope):
+    """A budget scope that counts its elimination steps (clock ticks)."""
+
+    __slots__ = ("ticks",)
+
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+        super().tick()
+
+
+class TestGrowthBudgets:
+    """A growth budget trips at the same elimination step, same count.
+
+    Eliminating the first variable leaves 11 live rows with coefficients
+    of at most 8 bits; the second leaves 16, with a 10-bit coefficient.
+    """
+
+    ROWS = (
+        ([2, -2, -7, -1], 19),
+        ([2, 3, -5, -7], 20),
+        ([3, -2, 0, -2], 2),
+        ([2, 4, -3, 4], 11),
+        ([-7, 2, -7, 3], -19),
+        ([-2, -3, 3, 0], -1),
+        ([2, 2, -2, -5], 3),
+        ([-5, -2, 5, -2], 18),
+    )
+
+    def _blown(self, budget):
+        scope = _CountingScope(budget)
+        with pytest.raises(BudgetExceeded) as blown:
+            FourierMotzkinTest().run(_system(4, *self.ROWS), scope=scope)
+        return scope.ticks, blown.value
+
+    def test_live_constraint_limit(self):
+        ticks, blown = self._blown(ResourceBudget(max_live_constraints=12))
+        assert ticks == 2
+        assert blown.reason == REASON_LIVE_CONSTRAINTS
+        assert blown.detail == "16 live constraints exceed the limit of 12"
+
+    def test_coefficient_bit_limit(self):
+        ticks, blown = self._blown(ResourceBudget(max_coeff_bits=9))
+        assert ticks == 2
+        assert blown.reason == REASON_COEFF_BITS
+        assert blown.detail == "coefficient of 10 bits exceeds the 9-bit limit"
+
+    def test_limits_at_the_peak_pass(self):
+        system = _system(4, *self.ROWS)
+        for budget in (
+            ResourceBudget(max_live_constraints=16),
+            ResourceBudget(max_coeff_bits=10),
+        ):
+            result = FourierMotzkinTest().run(system, scope=budget.open())
+            assert result.witness == (1, 5, 5, 0)

@@ -1,15 +1,32 @@
-"""Integration tests for the experiment harness (scaled-down runs)."""
+"""Integration tests for the experiment harness.
+
+Scaled-down runs check the tables' shape; full-scale runs pin the
+paper's counts.  Every count table at full scale is compared byte for
+byte with ``tests/goldens/harness_tables.txt`` (Table 6 and the
+per-test cost table print wall times and are left out), so a count
+that moves from one program or test to another shows even when the
+column totals stay.  After an intentional change to the counts,
+regenerate with::
+
+    REPRO_REGEN_GOLDENS=1 python -m pytest tests/test_harness.py
+
+and review the diff like any other code change.
+"""
+
+import functools
+import os
+import pathlib
 
 import pytest
 
 from repro.harness.experiments import (
+    ALL_EXPERIMENTS,
     collect_table1,
     render_table1,
     run_baseline_comparison,
     run_outcomes,
     run_table1,
     run_table2,
-    run_table3,
     run_table4,
     run_table5,
     run_table7,
@@ -17,6 +34,32 @@ from repro.harness.experiments import (
 from repro.obs.metrics import MetricsRegistry
 from repro.harness.tables import render_table
 from repro.harness.timing import representative_system, time_tests
+
+GOLDEN = pathlib.Path(__file__).parent / "goldens" / "harness_tables.txt"
+#: The count tables, in the golden's order.
+GOLDEN_TABLES = (
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table7",
+    "outcomes",
+    "baselines",
+)
+
+
+@functools.cache
+def _full(name):
+    """One full-scale run of an experiment, shared by every test here."""
+    return ALL_EXPERIMENTS[name](scale=1.0)
+
+
+def test_count_tables_match_golden():
+    text = "\n\n".join(_full(name).text for name in GOLDEN_TABLES) + "\n"
+    if os.environ.get("REPRO_REGEN_GOLDENS"):
+        GOLDEN.write_text(text)
+    assert text == GOLDEN.read_text()
 
 
 class TestRenderer:
@@ -36,7 +79,7 @@ class TestRenderer:
 
 class TestTable1:
     def test_full_run_matches_paper_totals(self):
-        result = run_table1()
+        result = _full("table1")
         footer_like = result.rows
         totals = [0] * 6
         for row in footer_like:
@@ -74,12 +117,12 @@ class TestTable2:
 
 class TestTable3:
     def test_unique_tests_paper_total(self):
-        result = run_table3()
+        result = _full("table3")
         assert result.extra["unique_tests"] == 332
         assert result.extra["total_cases"] == 5_679
 
     def test_memoization_reduction(self):
-        result = run_table3()
+        result = _full("table3")
         assert result.extra["unique_tests"] < result.extra["total_cases"] / 10
 
 
@@ -104,7 +147,6 @@ class TestDirectionTables:
 # Fourier-Motzkin) and each test's (independent, dependent) split.
 DIRECTION_TOTALS = {
     "table4": (
-        run_table4,
         [1_276, 2_762, 1_065, 884],
         {
             "svpc": (667, 609),
@@ -114,7 +156,6 @@ DIRECTION_TOTALS = {
         },
     ),
     "table5": (
-        run_table5,
         [274, 90, 44, 257],
         {
             "svpc": (87, 187),
@@ -124,7 +165,6 @@ DIRECTION_TOTALS = {
         },
     ),
     "table7": (
-        run_table7,
         [316, 130, 51, 257],
         {
             "svpc": (102, 214),
@@ -138,8 +178,8 @@ DIRECTION_TOTALS = {
 
 @pytest.mark.parametrize("name", sorted(DIRECTION_TOTALS))
 def test_direction_table_full_scale_totals(name):
-    run, columns, splits = DIRECTION_TOTALS[name]
-    result = run()
+    columns, splits = DIRECTION_TOTALS[name]
+    result = _full(name)
     totals = [sum(row[k] for row in result.rows) for k in range(2, 6)]
     assert totals == columns
     assert result.extra["total_tests"] == sum(columns)

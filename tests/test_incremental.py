@@ -16,6 +16,7 @@ import pytest
 
 import repro.core.graph
 import repro.core.incremental
+import repro.ir.fingerprint
 import repro.ir.program
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.core.incremental import (
@@ -381,6 +382,34 @@ class TestDirtyWork:
             assert calls["classify_pair"] <= report.requeried_pairs
             assert calls["reference_pairs"] == 0
             program = edited
+        monkeypatch.undo()
+        _assert_identical(session, program)
+
+    def test_an_edit_hashes_only_the_statements_it_made(self, monkeypatch):
+        program = storm_program(seed=2026, statements=100, arrays=12)
+        session = IncrementalSession()
+        session.update(program)
+        hashed = []
+        fingerprint = repro.ir.fingerprint.statement_fingerprint
+
+        def counted_fingerprint(stmt):
+            hashed.append(stmt)
+            return fingerprint(stmt)
+
+        for module in (repro.ir.fingerprint, repro.core.incremental):
+            monkeypatch.setattr(
+                module, "statement_fingerprint", counted_fingerprint
+            )
+        rng = random.Random(11)
+        kinds = set()
+        for _ in range(12):
+            edited, description = mutate(program, rng, arrays=12)
+            kinds.add(description.split()[0])
+            hashed.clear()
+            session.update(edited)
+            assert len(hashed) <= 1, description
+            program = edited
+        assert kinds == {"insert", "delete", "mutate"}
         monkeypatch.undo()
         _assert_identical(session, program)
 
