@@ -19,10 +19,8 @@ Subcommands:
   ``--trace`` JSONL dump of every query's decision events.
 * ``explain FILE --pair N`` — pretty-print one reference pair's full
   decision trace (EGCD -> memo -> cascade stages -> verdict).
-* ``stats [FILE ...]`` — run a corpus and dump the metrics registry.
-* ``bench [FILE ...]`` — time a corpus run; ``--profile`` reruns it
-  under cProfile and reports the top cumulative sites (text plus a
-  JSON artifact), so optimization starts from measurements.
+* ``stats [FILE ...]`` — run a corpus and dump the metrics registry
+  (profile it with ``python -m cProfile -s cumulative -m repro stats``).
 * ``fuzz`` — differential fuzzing of the exact cascade against the
   enumeration oracle (``--seed --iterations --tier --time-budget
   --shrink --corpus``), or deterministic corpus replay (``--replay``).
@@ -291,104 +289,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(json.dumps(registry.to_dict(), indent=2, sort_keys=True))
     else:
         print(registry.render())
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Time a corpus run; with ``--profile``, attribute it to hot sites."""
-    import time
-
-    from repro.core.engine import (
-        analyze_batch,
-        queries_from_program,
-        queries_from_suite,
-    )
-
-    queries = []
-    for path in args.files:
-        program = _load_program(path, getattr(args, "lang", None))
-        queries.extend(queries_from_program(program))
-    if not queries:
-        from repro.perfect import load_suite
-
-        suite = load_suite(include_symbolic=True, scale=args.scale)
-        queries.extend(queries_from_suite(suite))
-        print(
-            f"corpus: {len(suite)} synthetic PERFECT programs",
-            file=sys.stderr,
-        )
-
-    if not args.profile:
-        start = time.perf_counter()
-        analyze_batch(queries, jobs=args.jobs)
-        elapsed = time.perf_counter() - start
-        print(
-            f"{len(queries)} queries in {elapsed:.3f}s "
-            f"({len(queries) / elapsed:.1f} q/s, jobs={args.jobs})"
-        )
-        return 0
-
-    # Profile-first optimization loop: run the serial engine under
-    # cProfile and report the top cumulative sites, so "what is slow"
-    # is measured, never guessed.  Profiling is in-process by design —
-    # worker processes would escape the profiler — so --jobs is ignored.
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    analyze_batch(queries, jobs=1)
-    profiler.disable()
-    elapsed = time.perf_counter() - start
-
-    stats = pstats.Stats(profiler, stream=io.StringIO())
-    stats.sort_stats("cumulative")
-    rows = sorted(
-        stats.stats.items(), key=lambda item: item[1][3], reverse=True
-    )
-    sites = [
-        {
-            "file": filename,
-            "line": line,
-            "function": func,
-            "ncalls": ncalls,
-            "primitive_calls": primitive,
-            "tottime_s": round(tottime, 6),
-            "cumtime_s": round(cumtime, 6),
-        }
-        for (filename, line, func), (
-            primitive,
-            ncalls,
-            tottime,
-            cumtime,
-            _callers,
-        ) in rows[: args.top]
-    ]
-
-    print(
-        f"{len(queries)} queries in {elapsed:.3f}s "
-        f"({len(queries) / elapsed:.1f} q/s, profiled, serial)"
-    )
-    print(f"top {len(sites)} sites by cumulative time:")
-    for site in sites:
-        loc = f"{Path(site['file']).name}:{site['line']}"
-        print(
-            f"  {site['cumtime_s']:9.4f}s cum  {site['tottime_s']:9.4f}s own"
-            f"  {site['ncalls']:>8}x  {site['function']} ({loc})"
-        )
-
-    payload = {
-        "queries": len(queries),
-        "elapsed_s": round(elapsed, 4),
-        "qps": round(len(queries) / elapsed, 1),
-        "scale": args.scale,
-        "top": sites,
-    }
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 
@@ -1203,47 +1103,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="dump as JSON instead of text"
     )
     p_stats.set_defaults(func=_cmd_stats)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time a corpus run; --profile attributes it to hot sites",
-    )
-    p_bench.add_argument(
-        "files",
-        nargs="*",
-        help="source files, .loop/.py/.c (none: the PERFECT corpus)",
-    )
-    _add_lang_flag(p_bench)
-    p_bench.add_argument(
-        "--scale",
-        type=float,
-        default=0.1,
-        help="repetition scale for the synthetic corpus (default 0.1)",
-    )
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and report top cumulative sites",
-    )
-    p_bench.add_argument(
-        "--top",
-        type=int,
-        default=25,
-        help="number of profile sites to report (default 25)",
-    )
-    p_bench.add_argument(
-        "--out",
-        default="PROFILE_bench.json",
-        help="JSON artifact path for --profile (default PROFILE_bench.json)",
-    )
-    p_bench.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the unprofiled timing run (default 1)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     from repro.fuzz.runner import add_fuzz_parser
 

@@ -29,7 +29,7 @@ class SvpcTest(CascadeTest):
     name = "svpc"
 
     def applicable(self, system: ConstraintSystem) -> bool:
-        return system.max_vars_per_constraint() <= 1
+        return all(c.num_vars_used <= 1 for c in system.constraints)
 
     def _decide(
         self, system: ConstraintSystem, sink: TraceSink, scope: BudgetScope

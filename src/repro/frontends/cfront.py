@@ -35,6 +35,7 @@ the analyzable nests around it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.frontends.base import (
@@ -99,6 +100,16 @@ _PUNCT = (
 )
 
 
+# A preprocessing number (C11 6.4.8): a digit, or a dot and a digit,
+# then word characters, dots and signed exponents.  It is one token
+# even where it is no valid constant (``0x1e+2``, ``1for``).
+_PP_NUMBER = re.compile(r"\.?\d(?:[eEpP][+-]|[\w.])*")
+# A floating constant without a dot: an exponent, decimal or hex.
+_FLOAT_LITERAL = re.compile(
+    r"(?:\d+[eE]|0[xX][0-9a-fA-F]+[pP])[+-]?\d+[fFlL]?"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, line = 0, 1
@@ -144,20 +155,12 @@ def _tokenize(text: str) -> list[_Token]:
             line += text.count("\n", i, j)
             i = j
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            is_float = False
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                if text[j] in ".eEpP" and not text[i:j].startswith(("0x", "0X")):
-                    is_float = is_float or text[j] == "."
-                    if text[j] in "eE" and j + 1 < n and text[j + 1] in "+-":
-                        is_float = True
-                        j += 1
-                j += 1
-            word = text[i:j]
-            kind = "float" if (is_float or "." in word) else "int"
-            tokens.append(_Token(kind, word, line))
-            i = j
+        number = _PP_NUMBER.match(text, i)
+        if number:
+            word = number.group()
+            float_ = "." in word or _FLOAT_LITERAL.fullmatch(word)
+            tokens.append(_Token("float" if float_ else "int", word, line))
+            i = number.end()
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -178,8 +181,27 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _int_value(text: str) -> int:
-    return int(text.rstrip("uUlL") or "0", 0)
+# A C integer constant: hex, binary, octal (a leading 0) or decimal
+# digits, then an optional unsigned and long/long-long suffix.
+_INT_LITERAL = re.compile(
+    r"(0[xX][0-9a-fA-F]+|0[bB][01]+|0[0-7]*|[1-9][0-9]*)"
+    r"(?:[uU](?:ll|LL|[lL])?|(?:ll|LL|[lL])[uU]?)?"
+)
+
+
+def _int_value(token: _Token) -> int:
+    """An integer literal's value; a malformed one is ``parse-error``."""
+    match = _INT_LITERAL.fullmatch(token.text)
+    if match is None:
+        raise Untranslatable(
+            SkipReason.PARSE_ERROR,
+            f"malformed integer literal {token.text!r}",
+            token.line,
+        )
+    digits = match.group(1)
+    if digits[0] == "0" and digits[1:2].isdigit():
+        return int(digits, 8)
+    return int(digits, 0)
 
 
 # -- tiny C expression AST ----------------------------------------------------
@@ -667,7 +689,7 @@ class _CTranslator:
                 line,
             )
         self.advance()
-        value = _int_value(token.text)
+        value = _int_value(token)
         if value == 0:
             raise Untranslatable(SkipReason.ZERO_STEP, "loop step is zero", line)
         return value
@@ -837,7 +859,7 @@ class _CTranslator:
         token = self.cur
         if token.kind == "int":
             self.advance()
-            return _CNum(_int_value(token.text), token.line)
+            return _CNum(_int_value(token), token.line)
         if token.kind == "float":
             self.advance()
             return _CFloat(token.text, token.line)

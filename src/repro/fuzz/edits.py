@@ -8,9 +8,9 @@ insert a statement, delete one — so the incremental re-analysis path
 re-analysis after every keystroke-sized change.
 
 Everything is driven by a caller-supplied :class:`random.Random`, so a
-storm is reproducible from its seed: the 500-edit property suite in
-``tests/test_incremental.py``, the ``BENCH_incremental`` benchmark and
-the CI ``incremental-smoke`` job all replay byte-identical programs.
+storm is reproducible from its seed: the 500-edit property suite and
+the requery bound in ``tests/test_incremental.py`` and the CI
+``incremental-smoke`` job all replay byte-identical programs.
 
 Generated programs stay inside the mini-Fortran surface language:
 constant step-1 bounds and affine subscripts with small coefficients,

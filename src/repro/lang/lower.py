@@ -14,7 +14,10 @@ loop normalization).  Lowering then:
 * keeps one rank per array (:func:`rank_conflict`): a statement whose
   references use an array at another rank than an earlier reference,
   in the statement or in an earlier lowered statement, cannot be put
-  to the dependence tests.
+  to the dependence tests;
+* refuses the loop shapes :mod:`repro.ir.loops` rejects: a repeated
+  loop variable, and a bound that names its own loop's variable or
+  one an inner loop binds.
 
 A statement that cannot be lowered is a
 :class:`~repro.lang.errors.LowerError` in strict mode; in permissive
@@ -191,7 +194,11 @@ class _Lowerer:
         upper = self._affine_or_none(loop.upper, loop.line, loop_stack)
         if lower is None or upper is None:
             return
-        ir_loop = Loop(loop.var, lower, upper)
+        try:
+            ir_loop = Loop(loop.var, lower, upper)
+        except ValueError as err:  # a bound that names its own variable
+            self._problem(str(err), loop.line)
+            return
         loop_stack.append(ir_loop)
         try:
             self._lower_body(loop.body, loop_stack)
@@ -204,7 +211,11 @@ class _Lowerer:
             # this scalar in subscripts are validated at use sites.
             return
         assert isinstance(stmt.target, Access)
-        nest = LoopNest(list(loop_stack))
+        try:
+            nest = LoopNest(list(loop_stack))
+        except ValueError as err:  # a repeated or rebound loop variable
+            self._problem(str(err), stmt.line)
+            return
         write = self._lower_ref(
             stmt.target, AccessKind.WRITE, stmt.line, loop_stack
         )

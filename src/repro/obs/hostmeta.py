@@ -1,10 +1,10 @@
-"""Host metadata stamped into every benchmark artifact.
+"""Host metadata stamped into every benchmark result.
 
 Raw wall-clock numbers are only comparable against the machine that
-recorded them; each ``BENCH_*.json`` carries this block so the perf
-trajectory across commits can separate code changes from runner
-changes.  The regression gate itself consumes only within-run ratios
-and exact workload counts, never these fields.
+recorded them; each end-to-end benchmark result
+(``benchmarks/e2e``) carries this block so results from different
+runners can be told apart.  The perf gate compares a parent and a
+change run on one runner, never these fields.
 """
 
 from __future__ import annotations

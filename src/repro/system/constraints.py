@@ -199,9 +199,6 @@ class ConstraintSystem:
             used |= c.mask
         return set(mask_bits(used))
 
-    def max_vars_per_constraint(self) -> int:
-        return max((c.num_vars_used for c in self.constraints), default=0)
-
     def has_contradiction(self) -> bool:
         return any(c.is_contradiction for c in self.constraints)
 

@@ -118,7 +118,7 @@ class TestSystem:
         system.add([1, 0, 0], 3)
         system.add([1, -1, 0], 0)
         assert system.used_variables() == {0, 1}
-        assert system.max_vars_per_constraint() == 2
+        assert [c.num_vars_used for c in system.constraints] == [1, 2]
 
     def test_without_trivial(self):
         system = ConstraintSystem(("a",))

@@ -118,24 +118,36 @@ class TestDeduplication:
 
 class TestWarmStart:
     def test_warm_run_serves_everything_from_memo(self):
-        queries = _suite_queries(scale=0.1)
-        cold = analyze_batch(queries, jobs=2, want_directions=False)
-        warm = analyze_batch(
-            queries,
-            jobs=2,
-            want_directions=False,
-            warm=loads(dumps(cold.memoizer)),
-        )
-        # A warm start runs zero dependence tests and hits on every
-        # dispatched problem, so its with-bounds hit rate strictly
-        # exceeds the cold run's.
-        assert sum(warm.stats.decided_by.values()) == 0
-        assert warm.stats.memo_hits_bounds > 0
-        assert warm.hit_rate_bounds() > cold.hit_rate_bounds()
-        for a, b in zip(cold.outcomes, warm.outcomes):
-            assert a.result.dependent == b.result.dependent
-            assert a.result.decided_by == b.result.decided_by
-            assert a.result.distance == b.result.distance
+        """The full suite's exact shape and, per job count, the cold
+        run's test count and hit rates.  A warm start runs zero
+        dependence tests, hits on every probe and answers as cold did."""
+        queries = _suite_queries(scale=1.0)
+        # jobs -> cold tests run, with-bounds and no-bounds hit rates:
+        # each shard starts from an empty memo.
+        expected = {1: (126, 0.3883, 0.5157), 2: (165, 0.1990, 0.3049)}
+        for jobs, (tests, hit_bounds, hit_no_bounds) in expected.items():
+            cold = analyze_batch(queries, jobs=jobs, want_directions=False)
+            assert (
+                cold.n_queries,
+                cold.n_unique_pairs,
+                cold.n_unique_problems,
+                cold.n_screened,
+            ) == (18112, 339, 238, 7664)
+            assert sum(cold.stats.decided_by.values()) == tests
+            assert round(cold.hit_rate_bounds(), 4) == hit_bounds
+            assert round(cold.hit_rate_no_bounds(), 4) == hit_no_bounds
+            warm = analyze_batch(
+                queries,
+                jobs=jobs,
+                want_directions=False,
+                warm=loads(dumps(cold.memoizer)),
+            )
+            assert sum(warm.stats.decided_by.values()) == 0
+            assert warm.hit_rate_bounds() == warm.hit_rate_no_bounds() == 1.0
+            for a, b in zip(cold.outcomes, warm.outcomes):
+                assert a.result.dependent == b.result.dependent
+                assert a.result.decided_by == b.result.decided_by
+                assert a.result.distance == b.result.distance
 
     def test_warm_accepts_path(self, tmp_path):
         from repro.core.persist import save_memoizer

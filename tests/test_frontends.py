@@ -13,6 +13,7 @@ and review the diff like any other code change.
 import json
 import os
 import pathlib
+import random
 import re
 
 import pytest
@@ -29,6 +30,7 @@ from repro.frontends import (
     program_to_c,
     program_to_python,
 )
+from repro.ir.program import reference_pairs
 from repro.lang.unparse import program_to_source
 from repro.opt import compile_source
 from repro.perfect import load_suite
@@ -88,6 +90,27 @@ def test_corpus_matches_golden(path):
     )
     want = json.loads(golden_path.read_text())
     assert got == want
+
+
+def test_corpus_totals():
+    """The goldens pin each file; these totals pin the corpus itself, so
+    a file dropped with its golden shows here."""
+    extractions = [extract_path(path) for path in SOURCES]
+    assert {
+        "files": len(extractions),
+        "nests": sum(len(e.nests) for e in extractions),
+        "statements": sum(len(e.program.statements) for e in extractions),
+        "skips": sum(len(e.skipped) for e in extractions),
+        "pairs": sum(len(reference_pairs(e.program)) for e in extractions),
+        "edges": sum(len(_edges(e.program)) for e in extractions),
+    } == {
+        "files": 14,
+        "nests": 35,
+        "statements": 28,
+        "skips": 16,
+        "pairs": 72,
+        "edges": 86,
+    }
 
 
 @pytest.mark.parametrize("stem", TWIN_STEMS)
@@ -280,6 +303,48 @@ def test_a_c_file_that_ends_inside_a_function_is_a_parse_error(tmp_path, capsys)
     assert "[parse-error]" in capsys.readouterr().out
     assert repro_main(["analyze", str(path)]) == 2
     assert "error: expected '}', found 'EOF'" in capsys.readouterr().err
+
+
+# -- seeded character mutations ---------------------------------------------
+
+# About 5 s in all: a .loop file extracts far faster than a .py or .c one.
+MUTANTS = {"python": 60, "c": 60, "loop": 1000}
+
+
+def _mutants(path: pathlib.Path, count: int) -> list[str]:
+    """``count`` seeded single-character deletes, inserts and replaces
+    of the file, each new character drawn from the ones it holds."""
+    text = path.read_text()
+    alphabet = sorted(set(text))
+    rng = random.Random(path.name)
+    out = []
+    for _ in range(count):
+        at = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            out.append(text[:at] + text[at + 1 :])
+        else:
+            rest = text[at + 1 :] if edit == 2 else text[at:]
+            out.append(text[:at] + rng.choice(alphabet) + rest)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::SyntaxWarning")  # ast.parse of a mutant
+@pytest.mark.parametrize(
+    "path", SOURCES + [EXAMPLES / "stencil.loop"], ids=lambda p: p.name
+)
+def test_seeded_mutants_end_in_typed_skips_or_a_round_trip(path):
+    """Every mutant extracts.  What it refuses is a typed skip record
+    (``parse-error`` among them), and what it lowers re-emits as
+    ``.loop`` text that recompiles, with no skips, to the same graph."""
+    lang = detect_language(path)
+    for index, text in enumerate(_mutants(path, MUTANTS[lang])):
+        extraction = extract_source(text, lang=lang, name=f"<mutant {index}>")
+        assert {r.reason for r in extraction.skipped} <= set(SkipReason.ALL)
+        emitted = program_to_source(extraction.program)
+        recompiled = compile_source(emitted, name="<roundtrip>", strict=False)
+        assert not recompiled.skipped, index
+        assert _edges(recompiled.program) == _edges(extraction.program), index
 
 
 def test_unknown_language_rejected():
@@ -484,6 +549,95 @@ def test_c_preprocessor_and_comments_skipped():
     )
     assert not ext.skipped
     assert len(ext.program.statements) == 1
+
+
+def test_c_leading_zero_literal_is_octal():
+    nest = "void f(void) {\n  for (int i = 1; i < 10; i++)\n    A[i + {}] = A[i];\n}\n"
+    octal = _c(nest.replace("{}", "010"))
+    assert not octal.skipped
+    assert octal.program == _c(nest.replace("{}", "8")).program
+    assert str(octal.program.statements[0].write) == "A[i + 8]"
+
+
+@pytest.mark.parametrize("literal", ["0n", "1for", "08", "0x", "0x1e+2"])
+def test_c_malformed_literal_is_a_skip(tmp_path, capsys, literal):
+    text = (
+        "void f(void) {\n"
+        f"  A[{literal}] = 0;\n"
+        "  for (int i = 1; i < 10; i++) B[i] = B[i - 1];\n"
+        "}\n"
+    )
+    ext = _c(text)
+    assert [(r.reason, r.line, r.detail) for r in ext.skipped] == [
+        (SkipReason.PARSE_ERROR, 2, f"malformed integer literal {literal!r}")
+    ]
+    assert [str(stmt.write) for stmt in ext.program.statements] == ["B[i]"]
+    path = tmp_path / "literal.c"
+    path.write_text(text)
+    assert repro_main(["analyze", str(path)]) == 1
+    assert "warning: skipped line 2: [parse-error]" in capsys.readouterr().err
+
+
+def test_c_exponent_literals_are_floats():
+    ext = _c(
+        "void f(void) {\n"
+        "  for (int i = 1; i < 10; i++) A[i] = A[i - 1] * 1e5 + 0x1p-3;\n"
+        "  B[2e0] = 0;\n"
+        "}\n"
+    )
+    assert [(r.reason, r.line) for r in ext.skipped] == [(SkipReason.FLOAT_INDEX, 3)]
+    (stmt,) = ext.program.statements
+    assert [str(read) for read in stmt.reads] == ["A[i - 1]"]
+
+
+# -- loop shapes the IR rejects ---------------------------------------------
+
+# A repeated loop variable, a bound that names its own variable, and an
+# outer bound that names a symbol an inner loop rebinds, in each
+# language.  repro.ir.loops rejects each shape, so lowering skips the
+# statement (``lowering``); the nest after it still lowers.
+LOOP_SHAPES = {
+    "repeated-variable": {
+        "loop": "for i = 1 to 10 do\n  for i = 1 to 10 do\n"
+        "    a[i] = a[i - 1]\n  end\nend\n",
+        "python": "def f(a, n):\n    for i in range(n):\n"
+        "        for i in range(n):\n            a[i] = a[i - 1]\n",
+        "c": "void f(int n) {\n  for (int i = 0; i < n; i++)\n"
+        "    for (int i = 0; i < n; i++)\n      a[i] = a[i - 1];\n}\n",
+    },
+    "self-bound": {
+        "loop": "for i = 1 to i do\n  a[i] = a[i - 1]\nend\n",
+        "python": "def f(a, i):\n    for i in range(i):\n        a[i] = a[i - 1]\n",
+        "c": "void f(int i) {\n  for (i = 0; i < i; i++)\n    a[i] = a[i - 1];\n}\n",
+    },
+    "rebound-symbol": {
+        "loop": "read(j)\nfor i = 1 to j do\n  for j = 1 to 10 do\n"
+        "    a[i][j] = a[i - 1][j]\n  end\nend\n",
+        "python": "def f(a, j):\n    for i in range(j):\n"
+        "        for j in range(10):\n            a[i][j] = a[i - 1][j]\n",
+        "c": "void f(int j) {\n  for (int i = 0; i < j; i++)\n"
+        "    for (int j = 0; j < 10; j++)\n      a[i][j] = a[i - 1][j];\n}\n",
+    },
+}
+GOOD_NEST = {
+    "loop": "for k = 2 to 10 do\n  b[k] = b[k - 1]\nend\n",
+    "python": "def g(b):\n    for k in range(2, 11):\n        b[k] = b[k - 1]\n",
+    "c": "void g(void) {\n  for (int k = 2; k <= 10; k++)\n    b[k] = b[k - 1];\n}\n",
+}
+SUFFIX = {"loop": ".loop", "python": ".py", "c": ".c"}
+
+
+@pytest.mark.parametrize("lang", ["loop", "python", "c"])
+@pytest.mark.parametrize("shape", sorted(LOOP_SHAPES))
+def test_a_loop_shape_the_ir_rejects_is_a_skip(tmp_path, capsys, shape, lang):
+    text = LOOP_SHAPES[shape][lang] + GOOD_NEST[lang]
+    extraction = extract_source(text, lang=lang)
+    assert [r.reason for r in extraction.skipped] == [SkipReason.LOWERING]
+    assert [str(stmt.write) for stmt in extraction.program.statements] == ["b[k]"]
+    path = tmp_path / f"shape{SUFFIX[lang]}"
+    path.write_text(text)
+    assert repro_main(["analyze", str(path)]) == 1  # b[k] depends on b[k - 1]
+    assert "[lowering]" in capsys.readouterr().err
 
 
 # -- api integration --------------------------------------------------------

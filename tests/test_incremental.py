@@ -160,9 +160,10 @@ class TestRequeryBound:
         program = storm_program(seed=2026, statements=100, arrays=12)
         session = IncrementalSession()
         first = session.update(program)
-        assert first.total_pairs > 500  # the program is actually dense
+        assert first.total_pairs == 1646  # the program is actually dense
         rng = random.Random(99)
         kinds_seen = set()
+        fractions = []
         for _ in range(8):
             edited, description = mutate(program, rng, arrays=12)
             kinds_seen.add(description.split()[0])
@@ -171,10 +172,12 @@ class TestRequeryBound:
                 f"{description}: re-queried {report.requeried_pairs} of "
                 f"{report.total_pairs} pairs"
             )
+            fractions.append(report.requery_fraction)
             _assert_identical(session, edited)
             # each trial edits the same base program, so re-seed it
             session.update(program)
         assert kinds_seen == {"insert", "delete", "mutate"}
+        assert max(fractions) == 43 / 1689  # 0.0255: an insert at 16
 
     def test_kept_pairs_cost_no_engine_queries(self):
         program = storm_program(seed=2026, statements=100, arrays=12)

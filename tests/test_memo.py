@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analyzer import DependenceAnalyzer
+from repro.core.engine import queries_from_suite
 from repro.core.memo import Memoizer, MemoTable
 from repro.ir import builder as B
+from repro.perfect import load_suite
 
 
 class TestMemoTable:
@@ -153,6 +155,35 @@ class TestAnalyzerMemoization:
         assert second.decided_by == first.decided_by
         # only the first query ran a test
         assert analyzer.stats.decided_by["svpc"] == 1
+
+    def test_a_warm_suite_pass_runs_no_test_and_every_probe_hits(self):
+        """A second analyze + directions pass over the same queries adds
+        to no test count, and every memo probe it makes hits."""
+        queries = queries_from_suite(load_suite(include_symbolic=True, scale=0.1))
+        analyzer = DependenceAnalyzer(memoizer=Memoizer(), want_witness=False)
+        stats = analyzer.stats
+
+        def run_pass():
+            for q in queries:
+                analyzer.analyze(q.ref1, q.nest1, q.ref2, q.nest2)
+                analyzer.directions(q.ref1, q.nest1, q.ref2, q.nest2)
+            tests = (dict(stats.decided_by), dict(stats.direction_tests))
+            probes = (
+                stats.memo_queries_bounds,
+                stats.memo_hits_bounds,
+                stats.memo_queries_no_bounds,
+                stats.memo_hits_no_bounds,
+            )
+            return tests, probes
+
+        cold_tests, cold_probes = run_pass()
+        warm_tests, warm_probes = run_pass()
+        assert warm_tests == cold_tests
+        queries_b, hits_b, queries_nb, hits_nb = (
+            warm - cold for warm, cold in zip(warm_probes, cold_probes)
+        )
+        assert queries_b == hits_b > 0
+        assert queries_nb == hits_nb > 0
 
     def test_alpha_renaming_hits(self):
         """a[i+1] vs a[i] in loop i == a[j+1] vs a[j] in loop j."""

@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 from repro.core.analyzer import DependenceAnalyzer
+from repro.core.engine import analyze_batch
 from repro.core.memo import Memoizer
 from repro.core.stats import TEST_ORDER, AnalyzerStats
 from repro.deptests.base import Verdict
@@ -19,6 +20,7 @@ from repro.deptests.fourier_motzkin import FourierMotzkinTest
 from repro.deptests.svpc import SvpcTest
 from repro.ir import builder as B
 from repro.obs.events import (
+    EVENT_KINDS,
     CascadeStage,
     DirectionNode,
     EgcdResolved,
@@ -41,6 +43,7 @@ from repro.obs.sinks import (
     StreamingSink,
     merge_event_streams,
 )
+from repro.perfect import load_suite
 from repro.system.constraints import ConstraintSystem
 
 NEST = B.nest(("i", 1, 10))
@@ -391,6 +394,35 @@ class TestGoldenTraces:
         result = analyzer.analyze(w, NEST, r, NEST)
         assert result.dependent
         assert analyzer.sink is None or not analyzer.sink.enabled
+
+    def test_null_sink_builds_no_event(self, monkeypatch):
+        """Tracing is pay-for-what-you-use: under the default sink, a
+        suite's plain queries, direction queries and batch build no
+        event of any kind."""
+        built = []
+        for cls in EVENT_KINDS.values():
+
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(self.kind)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        assert QueryStart(op="analyze", ref1="a", ref2="b", n_common=0)
+        assert built == ["query_start"]
+        built.clear()
+
+        queries = [
+            query
+            for program in load_suite(include_symbolic=False, scale=0.25)
+            for query in program.queries
+        ]
+        analyzer = DependenceAnalyzer(memoizer=Memoizer(), want_witness=False)
+        for q in queries:
+            analyzer.analyze(q.ref1, q.nest1, q.ref2, q.nest2)
+            analyzer.directions(q.ref1, q.nest1, q.ref2, q.nest2)
+        analyze_batch(queries, jobs=1)
+        assert analyzer.stats.total_queries == 2 * len(queries)
+        assert built == []
 
     def test_render_formats_every_event_kind(self):
         w = B.ref("a", [B.v("i") + 1], write=True)

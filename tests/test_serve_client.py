@@ -17,7 +17,10 @@ import threading
 
 import pytest
 
+from repro.core.engine import queries_from_suite
+from repro.ir.serde import query_to_dict
 from repro.obs.metrics import MetricsRegistry
+from repro.perfect import load_suite
 from repro.serve import protocol
 from repro.serve.client import (
     CircuitBreaker,
@@ -337,6 +340,36 @@ class TestRetryAndReconnect:
         assert registry.get("client.reconnects") == 1
         assert registry.get("client.retries") == 1
         assert registry.get("client.transport_errors") == 1
+
+    def test_the_clean_path_sends_each_call_once(self, running):
+        """On a clean warm stream, a client with a RetryPolicy and a
+        breaker makes one attempt per call, never retries or
+        reconnects, and answers as a plain client does."""
+        stream = [
+            {"query": query_to_dict(q.ref1, q.nest1, q.ref2, q.nest2)}
+            for q in queries_from_suite(load_suite(include_symbolic=True, scale=0.02))
+        ]
+        registry = MetricsRegistry()
+        resilient = running.client(
+            retry=RetryPolicy(), breaker=CircuitBreaker(), registry=registry
+        )
+        attempts = []
+        call_once = resilient._call_once
+
+        def counting_call_once(op, params):
+            attempts.append(op)
+            return call_once(op, params)
+
+        resilient._call_once = counting_call_once
+        with running.client() as plain, resilient:
+            for params in stream:  # warm the daemon
+                plain.analyze(**params, directions=True)
+            want = [plain.analyze(**params, directions=True) for params in stream]
+            got = [resilient.analyze(**params, directions=True) for params in stream]
+        assert got == want
+        assert attempts == ["analyze"] * len(stream)
+        assert registry.get("client.retries") == 0
+        assert registry.get("client.reconnects") == 0
 
     def test_shutdown_is_never_silently_retried(self, scripted):
         def hangup(frontend, index, conn):

@@ -31,6 +31,7 @@ from repro.perfect import load_suite
 from repro.serve import protocol
 from repro.serve.client import Client, RetryPolicy, ServeError
 from repro.serve.server import DependenceServer, ServeConfig
+from tests.test_frontends import GOOD_NEST, LOOP_SHAPES
 
 SOURCE = """
 for i = 2 to 10 do
@@ -1025,6 +1026,22 @@ class TestOneFrontEnd:
                 sid, RANK_PYTHON, lang="python", verify=True
             )
             assert (summary["statements"], summary["edges"]) == (1, 1)
+            self._no_internal_errors(client, capsys)
+
+    def test_loop_shapes_the_ir_rejects_and_bad_literals_are_skips(
+        self, running, capsys
+    ):
+        sources = [
+            (text + GOOD_NEST[lang], lang)
+            for shape in LOOP_SHAPES.values()
+            for lang, text in shape.items()
+        ]
+        bad_literal = "void f(void) {\n  a[010] = a[0n];\n}\n"
+        sources.append((bad_literal + GOOD_NEST["c"], "c"))
+        with running.client() as client:
+            for source, lang in sources:
+                program = client.analyze_program(source, lang=lang)
+                assert [pair["ref1"] for pair in program["pairs"]] == ["b[k]"]
             self._no_internal_errors(client, capsys)
 
     def test_a_truncated_c_file_is_a_source_error(self, running, capsys):
