@@ -8,8 +8,6 @@
 3. **Pruning decomposition** — direction-vector test counts under each
    combination of unused-variable elimination and distance pruning,
    isolating each optimization's contribution to the Table 4 -> 5 drop.
-4. **Dimension-by-dimension** — section 6's separable-nest shortcut vs.
-   hierarchical refinement on separable inputs.
 """
 
 import time
@@ -18,7 +16,6 @@ from repro.core.analyzer import DependenceAnalyzer
 from repro.core.memo import Memoizer
 from repro.deptests.fourier_motzkin import FourierMotzkinTest
 from repro.harness.timing import representative_system
-from repro.ir import builder as B
 from repro.perfect import PROGRAM_SPECS, generate_program
 
 
@@ -134,34 +131,3 @@ def test_bench_pruning_decomposition(benchmark, capsys):
     assert counts["both (Table 5)"] < counts["unused only"] <= counts["none"]
     assert counts["both (Table 5)"] < counts["distance only"] <= counts["none"]
 
-
-def test_bench_dimension_by_dimension(benchmark, capsys):
-    """Separable 3-deep nest: product construction vs hierarchy."""
-    nest = B.nest(("i", 1, 9), ("j", 1, 9), ("k", 1, 9))
-    w = B.ref("a", [B.v("i"), B.v("j"), B.v("k")], write=True)
-    r = B.ref("a", [B.c(5), B.c(5), B.c(5)])
-
-    def run(dim):
-        analyzer = DependenceAnalyzer()
-        result = analyzer.directions(
-            w, nest, r, nest,
-            prune_unused=False,
-            prune_distance=False,
-            dimension_by_dimension=dim,
-        )
-        return result.tests_performed, result.elementary_vectors()
-
-    def measure():
-        return run(False), run(True)
-
-    (hier_tests, hier_vecs), (dim_tests, dim_vecs) = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    with capsys.disabled():
-        print()
-        print(
-            f"hierarchical {hier_tests} tests vs dimension-by-dimension "
-            f"{dim_tests} tests (same {len(dim_vecs)} vectors)"
-        )
-    assert dim_vecs == hier_vecs
-    assert dim_tests < hier_tests

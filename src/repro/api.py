@@ -307,16 +307,7 @@ def _report(
     result = analyzer.analyze(ref1, nest1, ref2, nest2)
     directions = None
     if want_directions:
-        if result.dependent:
-            directions = analyzer.directions(ref1, nest1, ref2, nest2)
-        else:
-            # The documented contract (and the batch engine's
-            # behavior): requested directions on an independent
-            # pair are the empty set, not "not computed".
-            directions = DirectionResult(
-                vectors=frozenset(),
-                n_common=nest1.common_prefix_depth(nest2),
-            )
+        directions = analyzer.directions_after(result, ref1, nest1, ref2, nest2)
     return DependenceReport.from_results(str(ref1), str(ref2), result, directions)
 
 

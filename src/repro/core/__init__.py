@@ -1,7 +1,7 @@
 """The cascaded exact dependence analyzer — the paper's contribution."""
 
 from repro.core.analyzer import DependenceAnalyzer
-from repro.core.directions import DirectionOptions, refine_directions
+from repro.core.directions import refine_directions
 from repro.core.distances import constant_distances, forced_directions
 from repro.core.engine import (
     BatchReport,
@@ -22,7 +22,6 @@ from repro.core.parallel import (
 )
 from repro.core.persist import load_memoizer, merge_memoizers, save_memoizer
 from repro.core.result import DECIDED_CONSTANT, DependenceResult, DirectionResult
-from repro.core.separable import is_separable, separable_directions
 from repro.core.stats import TEST_ORDER, AnalyzerStats
 from repro.core.symbolic import (
     has_symbolic_terms,
@@ -42,7 +41,6 @@ __all__ = [
     "DependenceResult",
     "DirectionResult",
     "DECIDED_CONSTANT",
-    "DirectionOptions",
     "refine_directions",
     "constant_distances",
     "forced_directions",
@@ -70,8 +68,6 @@ __all__ = [
     "LoopReport",
     "analyze_parallelism",
     "carried_levels",
-    "is_separable",
-    "separable_directions",
     "gather_dependences",
     "permutation_legal",
     "interchange_legal",

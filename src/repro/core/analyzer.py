@@ -77,20 +77,16 @@ class CascadeDecision:
 _MISS = object()  # sentinel: no-bounds table had no entry
 
 # Direction-query memo keys append an option tail to the problem's
-# with-bounds key.  The tuple scheme appended (-1, prune_unused,
-# prune_distance, dimension_by_dimension); the byte scheme appends the
-# same elements' varint encoding, which by the codec's concatenation
-# property collides exactly when the old tuples would have.  Eight
-# possible tails — precompute them.
-_DIRECTION_TAILS: dict[tuple[int, int, int], bytes] = {}
-
-
-def _direction_tail(pu: int, pd: int, dbd: int) -> bytes:
-    tail = _DIRECTION_TAILS.get((pu, pd, dbd))
-    if tail is None:
-        tail = encode_key((-1, pu, pd, dbd))
-        _DIRECTION_TAILS[(pu, pd, dbd)] = tail
-    return tail
+# with-bounds key: the varint encoding of (-1, prune_unused,
+# prune_distance, 0), which by the codec's concatenation property
+# collides exactly when the old tuple keys would have.  The last
+# element once flagged a second direction algorithm; it stays 0 so that
+# keys, and the memo images written with them, keep their bytes.
+_DIRECTION_TAILS: dict[tuple[bool, bool], bytes] = {
+    (pu, pd): encode_key((-1, int(pu), int(pd), 0))
+    for pu in (False, True)
+    for pd in (False, True)
+}
 
 
 @dataclass
@@ -304,25 +300,15 @@ class DependenceAnalyzer:
         nest2: LoopNest,
         prune_unused: bool | None = None,
         prune_distance: bool = True,
-        dimension_by_dimension: bool = False,
     ) -> DirectionResult:
         """All direction vectors under which the references are dependent.
 
         ``prune_unused`` defaults to the analyzer's
         ``eliminate_unused`` setting; set both pruning flags False to
         reproduce the unoptimized hierarchical numbers (Table 4).
-        ``dimension_by_dimension`` turns on the separable-nest
-        optimization where applicable (section 6).
         """
-        from repro.core.directions import DirectionOptions
-
         if prune_unused is None:
             prune_unused = self.eliminate_unused
-        options = DirectionOptions(
-            prune_unused=prune_unused,
-            prune_distance=prune_distance,
-            dimension_by_dimension=dimension_by_dimension,
-        )
         self.stats.inc("total_queries")
         n_common_full = nest1.common_prefix_depth(nest2)
         qsink, start = (
@@ -356,8 +342,8 @@ class DependenceAnalyzer:
         scope = self._open_scope()
         try:
             return self._directions_impl(
-                ref1, nest1, ref2, nest2, options, n_common_full, qsink,
-                start, scope,
+                ref1, nest1, ref2, nest2, prune_unused, prune_distance,
+                n_common_full, qsink, start, scope,
             )
         except BudgetExceeded as blown:
             result = self._degraded_directions(blown, n_common_full)
@@ -372,13 +358,33 @@ class DependenceAnalyzer:
                 )
             return result
 
+    def directions_after(
+        self,
+        result: DependenceResult,
+        ref1: ArrayRef,
+        nest1: LoopNest,
+        ref2: ArrayRef,
+        nest2: LoopNest,
+    ) -> DirectionResult:
+        """The pair's direction vectors, given its plain verdict ``result``.
+
+        Directions asked for on an independent pair are the empty set,
+        not "not computed", and cost no refinement.
+        """
+        if result.dependent:
+            return self.directions(ref1, nest1, ref2, nest2)
+        return DirectionResult(
+            vectors=frozenset(), n_common=nest1.common_prefix_depth(nest2)
+        )
+
     def _directions_impl(
         self,
         ref1: ArrayRef,
         nest1: LoopNest,
         ref2: ArrayRef,
         nest2: LoopNest,
-        options,
+        prune_unused: bool,
+        prune_distance: bool,
         n_common_full: int,
         qsink: TraceSink,
         start: int,
@@ -390,7 +396,7 @@ class DependenceAnalyzer:
         work = problem
         surviving = list(range(problem.n_common))
         forced_dropped = None
-        if options.prune_unused:
+        if prune_unused:
             # The safe-keep analysis and projection are pure in
             # (problem, nest1); repeated queries replay the cached
             # reduced problem (which carries its own key-bytes cache).
@@ -441,11 +447,7 @@ class DependenceAnalyzer:
         if memo is not None:
             memo_key = intern_key(
                 key_source.key_bytes(with_bounds=True)
-                + _direction_tail(
-                    int(options.prune_unused),
-                    int(options.prune_distance),
-                    int(options.dimension_by_dimension),
-                )
+                + _DIRECTION_TAILS[prune_unused, prune_distance]
             )
             self.stats.inc("memo_queries_bounds")
             hit, cached = memo.with_bounds.lookup(memo_key)
@@ -474,28 +476,17 @@ class DependenceAnalyzer:
                     tests_performed=0,
                 )
 
-        from repro.core.directions import refine_directions as _refine
+        from repro.core.directions import refine_directions
 
         transformed = outcome.transformed
         assert transformed is not None
-        reduced_result = None
-        decided_by = "refinement"
         # Refinement runs up to 3^depth cascades: their per-test
         # nanoseconds add up here and reach the stage timers once.
         stage_ns: dict[str, int] = {}
         try:
-            if options.dimension_by_dimension:
-                from repro.core.separable import is_separable, separable_directions
-
-                if is_separable(work):
-                    reduced_result = separable_directions(
-                        self, work, qsink, scope, stage_ns
-                    )
-                    decided_by = "separable"
-            if reduced_result is None:
-                reduced_result = _refine(
-                    self, work, transformed, options, qsink, scope, stage_ns
-                )
+            reduced_result = refine_directions(
+                self, work, transformed, prune_distance, qsink, scope, stage_ns
+            )
         finally:
             for name, elapsed_ns in stage_ns.items():
                 self.stats.observe_stage_ns(name, elapsed_ns)
@@ -522,7 +513,7 @@ class DependenceAnalyzer:
                 qsink,
                 start,
                 bool(result.vectors),
-                decided_by,
+                "refinement",
                 result.exact,
                 n_vectors=result.count_elementary(),
             )

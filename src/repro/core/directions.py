@@ -27,8 +27,6 @@ paper's suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.result import DirectionResult
 from repro.deptests.base import Verdict
 from repro.obs.events import DirectionNode
@@ -38,27 +36,14 @@ from repro.system.constraints import ConstraintSystem, LinearConstraint
 from repro.system.depsystem import DependenceProblem, Direction
 from repro.system.transform import TransformedSystem
 
-__all__ = ["DirectionOptions", "refine_directions", "lift_vector"]
-
-
-@dataclass(frozen=True)
-class DirectionOptions:
-    """Pruning switches; both prunings on reproduces Table 5, both off
-    Table 4.  ``dimension_by_dimension`` additionally enables Burke and
-    Cytron's separable-nest optimization (section 6's closing idea):
-    when the levels provably do not interact, per-level direction sets
-    are computed independently and combined as a product."""
-
-    prune_unused: bool = True
-    prune_distance: bool = True
-    dimension_by_dimension: bool = False
+__all__ = ["refine_directions", "lift_vector"]
 
 
 def refine_directions(
     analyzer,
     problem: DependenceProblem,
     transformed: TransformedSystem,
-    options: DirectionOptions,
+    prune_distance: bool = True,
     sink: TraceSink = NULL_SINK,
     scope: BudgetScope = NULL_SCOPE,
     stage_ns: dict[str, int] | None = None,
@@ -68,14 +53,17 @@ def refine_directions(
     ``problem``/``transformed`` may be the unused-variable-reduced
     system; the returned vectors are over *its* common levels — the
     caller embeds them back into the original nest (dropped levels get
-    ``*``) via :func:`lift_vector`.  When ``stage_ns`` is given, each
-    cascade test's nanoseconds add into it instead of reaching the
-    analyzer's stage timers one sub-query at a time.
+    ``*``) via :func:`lift_vector`.  ``prune_distance`` fixes the
+    direction of every level whose GCD distance is a provable constant
+    (Table 5); without it the whole tree is tested (Table 4).  When
+    ``stage_ns`` is given, each cascade test's nanoseconds add into it
+    instead of reaching the analyzer's stage timers one sub-query at a
+    time.
     """
     n_common = problem.n_common
 
     forced: dict[int, str] = {}
-    if options.prune_distance:
+    if prune_distance:
         from repro.core.distances import constant_distances, forced_directions
 
         forced = forced_directions(constant_distances(transformed))

@@ -251,13 +251,9 @@ def _run_shard(payload):
         result = analyzer.analyze(ref1, nest1, ref2, nest2)
         directions = None
         if opts["want_directions"]:
-            if result.dependent:
-                directions = analyzer.directions(ref1, nest1, ref2, nest2)
-            else:
-                directions = DirectionResult(
-                    vectors=frozenset(),
-                    n_common=nest1.common_prefix_depth(nest2),
-                )
+            directions = analyzer.directions_after(
+                result, ref1, nest1, ref2, nest2
+            )
         answers.append((rep_index, result, directions))
     events = shard_sink.events if shard_sink is not None else []
     return answers, analyzer.stats, memoizer, events

@@ -73,8 +73,6 @@ def analyze_parallelism(
     program: Program,
     analyzer: DependenceAnalyzer | None = None,
     jobs: int | None = None,
-    warm=None,
-    budget=None,
 ) -> list[LoopReport]:
     """Report, for every loop in the program, whether it is parallel.
 
@@ -86,23 +84,14 @@ def analyze_parallelism(
     With no explicit ``analyzer`` the pairs run through the batch
     engine: repeated patterns are analyzed once and, when ``jobs`` is
     greater than one, unique problems fan out across worker processes
-    (``warm`` optionally seeds their memo tables — see
-    :func:`repro.core.engine.analyze_batch`).  Passing an ``analyzer``
-    keeps the serial per-pair loop on that instance; the two paths
-    produce identical reports.
-
-    ``budget`` (a :class:`~repro.robust.budget.ResourceBudget`) bounds
-    the engine path's workers; a budget-degraded pair answers with the
-    all-``'*'`` vector, which conservatively marks every common loop
-    serial.
+    (see :func:`repro.core.engine.analyze_batch`).  Passing an
+    ``analyzer`` keeps the serial per-pair loop on that instance; the
+    two paths produce identical reports.
     """
     if analyzer is None:
         from repro.core.engine import analyze_batch, queries_from_program
 
-        report = analyze_batch(
-            queries_from_program(program), jobs=jobs, warm=warm,
-            budget=budget,
-        )
+        report = analyze_batch(queries_from_program(program), jobs=jobs)
         pair_directions = [
             (outcome.query.tag[0], outcome.query.tag[1], outcome.directions)
             for outcome in report.outcomes

@@ -39,6 +39,8 @@ reason code, never silently dropped.
 from __future__ import annotations
 
 import ast
+import threading
+import warnings
 
 from repro.frontends.base import (
     OPAQUE_ARRAY,
@@ -62,6 +64,10 @@ from repro.lang.ast_nodes import (
 
 __all__ = ["translate_python"]
 
+# warnings.catch_warnings swaps the process-wide filter list, and the
+# daemon extracts Python in worker threads: one parse at a time.
+_PARSE_LOCK = threading.Lock()
+
 
 def translate_python(
     text: str, name: str = "<source>"
@@ -73,7 +79,11 @@ def translate_python(
     in source order.  Raises :class:`SyntaxError` when the text is not
     valid Python at all.
     """
-    module = ast.parse(text, filename=name)
+    # Python warns about a malformed numeral such as ``1for`` before it
+    # fails to parse; the caller's parse-error skip record reports it.
+    with _PARSE_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("ignore", SyntaxWarning)
+        module = ast.parse(text, filename=name)
     translator = _PyTranslator(_scalar_assigned_names(module))
     body = translator.body(module.body, "<module>", depth=0)
     program = SourceProgram(

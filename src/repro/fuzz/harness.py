@@ -68,6 +68,10 @@ __all__ = [
 
 AnalyzerFactory = Callable[..., DependenceAnalyzer]
 
+# The cross-shard check compares a serial batch with one sharded this
+# many ways.
+CROSS_SHARD_JOBS = 2
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -83,8 +87,6 @@ class FuzzConfig:
     oracle_radius: int = 6
     e2e: bool = True
     cross_shard: bool = True
-    cross_shard_jobs: int = 2
-    max_shrink_evals: int = 400
 
 
 @dataclass(frozen=True)
@@ -591,7 +593,7 @@ class FuzzReport:
         if self.cross_shard_ok is not None:
             state = "ok" if self.cross_shard_ok else "FAILED"
             lines.append(
-                f"  cross-shard (serial == jobs={self.config.cross_shard_jobs}): "
+                f"  cross-shard (serial == jobs={CROSS_SHARD_JOBS}): "
                 f"{state}"
             )
         lines.append(f"  discrepancies: {len(self.discrepancies)}")
@@ -762,7 +764,7 @@ def run_fuzz(
     if config.cross_shard and make_analyzer is None and outcomes:
         checked = [outcome.case for outcome in outcomes]
         cross_shard_ok, shard_bad = _cross_shard_check(
-            checked, config.cross_shard_jobs
+            checked, CROSS_SHARD_JOBS
         )
         if shard_bad:
             discrepancies.extend(shard_bad)
@@ -863,9 +865,7 @@ def _shrink_discrepancies(
             )
             return any(d.kind == kind for d in outcome.discrepancies)
 
-        small = shrink_case(
-            discrepancy.case, still_fails, max_evals=config.max_shrink_evals
-        )
+        small = shrink_case(discrepancy.case, still_fails)
         shrunk.append((discrepancy, small))
     return shrunk
 

@@ -33,6 +33,8 @@ from repro.ir.loops import Loop, LoopNest
 
 __all__ = ["case_cost", "shrink_case"]
 
+MAX_EVALS = 400  # predicate evaluations before a shrink gives up
+
 
 def case_cost(case: FuzzCase) -> int:
     """Structural size of a case (lower is simpler).
@@ -58,7 +60,7 @@ def case_cost(case: FuzzCase) -> int:
 def shrink_case(
     case: FuzzCase,
     predicate: Callable[[FuzzCase], bool],
-    max_evals: int = 400,
+    max_evals: int = MAX_EVALS,
 ) -> FuzzCase:
     """The smallest variant of ``case`` still accepted by ``predicate``.
 

@@ -171,10 +171,6 @@ class BudgetScope:
 
     # -- Fourier-Motzkin branch-and-bound ----------------------------------
 
-    @property
-    def governs_fm_nodes(self) -> bool:
-        return self._fm_nodes_left is not None
-
     def charge_fm_node(self) -> None:
         if self._fm_nodes_left is None:
             return

@@ -280,7 +280,7 @@ class _SocketTransport:
 class _StdioTransport:
     """A private ``repro serve --stdio`` child and its pipes."""
 
-    def __init__(self, args: tuple[str, ...]):
+    def __init__(self):
         import os
         from pathlib import Path
 
@@ -294,7 +294,7 @@ class _StdioTransport:
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         self._proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--stdio", *args],
+            [sys.executable, "-m", "repro", "serve", "--stdio"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
@@ -332,9 +332,7 @@ class Client:
 
     ``endpoint`` selects the transport by scheme (see module
     docstring); ``retry_for`` keeps retrying a refused TCP connection
-    for that many seconds (a server that is still coming up);
-    ``stdio_args`` appends extra ``repro serve`` flags when spawning a
-    ``stdio:`` child.
+    for that many seconds (a server that is still coming up).
 
     ``retry`` is the optional :class:`RetryPolicy` for mid-stream
     failures — without one the client behaves like a plain socket
@@ -349,7 +347,6 @@ class Client:
         endpoint: str,
         timeout: float | None = 30.0,
         retry_for: float = 0.0,
-        stdio_args: tuple[str, ...] = (),
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         registry: MetricsRegistry | None = None,
@@ -361,13 +358,12 @@ class Client:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._next_id = 0
         self._timeout = timeout
-        self._stdio_args = stdio_args
         self._journal: dict[str, dict] = {}  # session_id -> journal entry
         self._transport: Any = self._make_transport(retry_for)
 
     def _make_transport(self, retry_for: float = 0.0) -> Any:
         if self.scheme == "stdio":
-            return _StdioTransport(self._stdio_args)
+            return _StdioTransport()
         return self._connect_tcp(self._timeout, retry_for)
 
     def _connect_tcp(

@@ -98,12 +98,6 @@ class TransformedSystem:
             out.append(LinearConstraint.make(row, bound - const))
         return out
 
-    def with_rows(self, x_rows: Iterable[SparseRow]) -> ConstraintSystem:
-        """The t-system plus transformed x-space rows (direction constraints)."""
-        return ConstraintSystem(
-            self.t_names, self.system.constraints + self.rows(x_rows)
-        )
-
     def transform_expr(
         self, coeffs_x: Sequence[int], const: int
     ) -> tuple[list[int], int]:

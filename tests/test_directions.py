@@ -160,6 +160,45 @@ class TestAgainstOracle:
             assert result.elementary_vectors() == truth
 
     @given(coef, shift, coef, shift, st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_rank2_one_equation_per_level_exact(self, a, c1, b, c2, n):
+        """a[a*i + c1][b*j + c2] vs a[i][j]: each subscript equation
+        touches one level, so the levels are independent problems."""
+        nest = B.nest(("i", 1, n), ("j", 1, n))
+        ref1 = B.ref("a", [B.v("i") * a + c1, B.v("j") * b + c2], write=True)
+        ref2 = B.ref("a", [B.v("i"), B.v("j")])
+        result = DependenceAnalyzer().directions(
+            ref1, nest, ref2, nest, prune_unused=False, prune_distance=False
+        )
+        truth = oracle_direction_vectors(ref1, nest, ref2, nest)
+        assert result.elementary_vectors() == truth
+
+    def test_shift_in_one_level_of_two(self):
+        # a[i+1][j] = a[i][j]: the outer level carries it, the inner
+        # level only pairs equal iterations.
+        nest = B.nest(("i", 1, 10), ("j", 1, 10))
+        ref1 = B.ref("a", [B.v("i") + 1, B.v("j")], write=True)
+        ref2 = B.ref("a", [B.v("i"), B.v("j")])
+        result = DependenceAnalyzer().directions(ref1, nest, ref2, nest)
+        truth = oracle_direction_vectors(ref1, nest, ref2, nest)
+        assert result.elementary_vectors() == truth == {("<", "=")}
+
+    def test_single_iteration_level_in_no_subscript_is_equal(self):
+        # j appears in no subscript and runs once: only '=' is feasible
+        # at its level, unpruned as well as pruned.
+        nest = B.nest(("i", 1, 10), ("j", 1, 1))
+        ref1 = B.ref("a", [B.v("i") + 1], write=True)
+        ref2 = B.ref("a", [B.v("i")])
+        truth = oracle_direction_vectors(ref1, nest, ref2, nest)
+        assert truth == {("<", "=")}
+        unpruned = DependenceAnalyzer(eliminate_unused=False).directions(
+            ref1, nest, ref2, nest, prune_unused=False, prune_distance=False
+        )
+        assert unpruned.elementary_vectors() == truth
+        pruned = DependenceAnalyzer().directions(ref1, nest, ref2, nest)
+        assert pruned.elementary_vectors() == truth
+
+    @given(coef, shift, coef, shift, st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
     def test_pruning_does_not_change_verdicts(self, a1, c1, a2, c2, n):
         """Tables 4 and 5 must agree on dependence; only costs differ."""

@@ -15,6 +15,8 @@ import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -262,6 +264,26 @@ def test_parse_error_is_a_skip_not_a_crash():
     assert [r.reason for r in extraction.skipped] == [SkipReason.PARSE_ERROR]
 
 
+def test_a_python_numeral_warning_stays_off_stderr(tmp_path):
+    """``1for`` makes Python's parser warn before it fails.  ``repro
+    extract`` prints the parse-error skip and nothing on stderr."""
+    path = tmp_path / "warn.py"
+    path.write_text("import numpy\n\n\nx = 1for\n")
+    pythonpath = os.pathsep.join(
+        filter(None, [str(EXAMPLES.parent / "src"), os.environ.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "extract", str(path)],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "skip line 4: [parse-error] invalid syntax" in done.stdout
+
+
 def test_lex_error_is_a_skip_not_a_crash(tmp_path, capsys):
     """A .loop lex error is a parse-error record, like a parse error."""
     extraction = extract_source("x = $\n", lang="loop", name="x")
@@ -329,7 +351,6 @@ def _mutants(path: pathlib.Path, count: int) -> list[str]:
     return out
 
 
-@pytest.mark.filterwarnings("ignore::SyntaxWarning")  # ast.parse of a mutant
 @pytest.mark.parametrize(
     "path", SOURCES + [EXAMPLES / "stencil.loop"], ids=lambda p: p.name
 )

@@ -16,7 +16,9 @@ Covers the tentpole acceptance criteria in-process:
 import asyncio
 import itertools
 import json
+import random
 import socket
+import sys
 import threading
 import time
 
@@ -28,6 +30,7 @@ from repro.ir.program import reference_pairs
 from repro.ir.serde import query_from_dict, query_to_dict
 from repro.oracle.enumerate import oracle_direction_vectors
 from repro.perfect import load_suite
+from repro.perfect.source_gen import queries_to_source
 from repro.serve import protocol
 from repro.serve.client import Client, RetryPolicy, ServeError
 from repro.serve.server import DependenceServer, ServeConfig
@@ -551,6 +554,123 @@ class TestBitIdenticalServing:
         assert warm == expected
         table = stats["cache"]["with_bounds"]
         assert table["hits"] > 0
+
+
+    N_STREAMS = 4
+
+    def _streams(self, calls: list) -> list[list]:
+        """One seeded stream per client: a sample of the suite's
+        ``analyze`` calls (a quarter without directions), the same call
+        in source form, and ``analyze_program`` over two suite programs,
+        whose pairs overlap the sampled calls."""
+        programs = load_suite(include_symbolic=True, scale=0.02)
+        streams = []
+        for index in range(self.N_STREAMS):
+            rng = random.Random(index)
+            stream = [
+                (op, dict(params, directions=rng.random() < 0.75))
+                for op, params in rng.sample(calls, 200)
+            ]
+            stream.append(("analyze", {"source": SOURCE, "pair": 0}))
+            for program in rng.sample(programs, 2):
+                source = queries_to_source(list(program.queries))
+                stream.append(("analyze_program", {"source": source}))
+            rng.shuffle(stream)
+            streams.append(stream)
+        return streams
+
+    @staticmethod
+    def _order_free(answer: dict) -> dict:
+        """An answer without what depends on arrival order: the memo
+        fields of an ``analyze_program`` summary read the daemon's live
+        table."""
+        if "summary" not in answer:
+            return answer
+        order_dependent = (
+            "tests_run",
+            "memo_hit_rate_no_bounds",
+            "memo_hit_rate_bounds",
+            "memo_entries",
+        )
+        summary = {
+            key: value
+            for key, value in answer["summary"].items()
+            if key not in order_dependent
+        }
+        return dict(answer, summary=summary)
+
+    def _serve(self, streams: list[list], concurrent: bool):
+        """Every stream's answers and the final ``stats`` of a fresh
+        daemon, the streams pipelined at once or replayed one call at
+        a time."""
+        handle = _RunningServer(ServeConfig(announce=False, queue_limit=50_000))
+        try:
+            answers: list = [None] * len(streams)
+            if concurrent:
+                def pipeline(index: int) -> None:
+                    with handle.client(timeout=120.0) as client:
+                        answers[index] = client.call_many(streams[index])
+
+                threads = [
+                    threading.Thread(target=pipeline, args=(index,))
+                    for index in range(len(streams))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                assert not any(thread.is_alive() for thread in threads)
+            else:
+                with handle.client(timeout=120.0) as client:
+                    for index, stream in enumerate(streams):
+                        answers[index] = [
+                            client.call(op, params) for op, params in stream
+                        ]
+            with handle.client(timeout=120.0) as client:
+                stats = client.stats()
+        finally:
+            handle.stop()
+        return answers, stats
+
+    def test_concurrent_streams_equal_a_serial_replay(self, workload):
+        """Clients pipelining at once under a 1 µs switch interval get
+        what a serial replay of their streams on a fresh daemon gets:
+        every answer, each memo table's entry count and the requests
+        per op, with no error and no degraded answer.  Fast-lane hits,
+        coalesced requests and memo hit counts depend on which request
+        arrives first, so they are not compared."""
+        streams = self._streams(workload[0])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            concurrent, busy = self._serve(streams, concurrent=True)
+        finally:
+            sys.setswitchinterval(interval)
+        serial, calm = self._serve(streams, concurrent=False)
+
+        families = busy["registry"]["families"]
+        assert "serve.errors" not in families
+        for index, (got, want) in enumerate(zip(concurrent, serial)):
+            assert got is not None, f"stream {index} did not finish"
+            assert [self._order_free(a) for a in got] == [
+                self._order_free(a) for a in want
+            ], f"stream {index}"
+        reports = [
+            report
+            for answers in concurrent
+            for answer in answers
+            for report in answer.get("pairs", [answer])
+        ]
+        assert len(reports) > self.N_STREAMS * 200
+        assert not any(report["degraded"] for report in reports)
+        for table in ("no_bounds", "with_bounds"):
+            assert (
+                busy["cache"][table]["entries"] == calm["cache"][table]["entries"]
+            ), table
+        assert families["serve.requests"] == calm["registry"]["families"][
+            "serve.requests"
+        ]
+        assert families["serve.requests"]["analyze_program"] == 2 * self.N_STREAMS
 
 
 class _SlowWorkServer(DependenceServer):
