@@ -7,9 +7,10 @@ deep imports from ``repro.core.*`` / ``repro.system.*``, callers build
 an :class:`AnalysisConfig`, open an :class:`AnalysisSession`, and get
 every per-query answer as one unified :class:`DependenceReport`::
 
-    from repro.api import AnalysisConfig, AnalysisSession
+    from repro.api import AnalysisSession
+    from repro.core.memo import Memoizer
 
-    session = AnalysisSession(AnalysisConfig(symmetry=True))
+    session = AnalysisSession(memoizer=Memoizer(symmetry=True))
     report = session.analyze(ref1, nest1, ref2, nest2)
     if report.dependent:
         print(report.decided_by, report.directions)
@@ -23,12 +24,18 @@ queries share memo tables, ``session.registry`` accumulates the metrics
 every harness table is derived from, and ``session.explain(...)``
 captures one query's full decision trace (the ``repro explain`` CLI is
 a thin wrapper over it).
+
+The memo keying scheme (``improved``, ``symmetry``) is the
+:class:`~repro.core.memo.Memoizer`'s own, as in the example above;
+everything else a session runs with is an :class:`AnalysisConfig`
+field, and the session turns it into every batch and incremental
+session it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.analyzer import DependenceAnalyzer
 from repro.core.memo import Memoizer
@@ -95,14 +102,13 @@ class AnalysisConfig:
 
     Attributes:
         memo: keep a memo table across the session's queries (the
-            paper's section-5 scheme; on by default).
-        improved: use the reduced-problem memo keying (improved scheme).
-        symmetry: share one memo slot between reference-swapped twins.
-        fm_budget: Fourier-Motzkin branch-and-bound node budget.
-        eliminate_unused: drop loop variables no subscript mentions.
+            paper's section-5 scheme; on by default).  Its keying scheme
+            is the :class:`~repro.core.memo.Memoizer`'s own: pass one to
+            :class:`AnalysisSession` for another scheme.
         want_witness: lift an integer witness for dependent answers.
         jobs: worker processes for :meth:`AnalysisSession.analyze_program`
-            (None: CPU count).
+            (None: CPU count); incremental updates run in-process unless
+            it is set.
         sink: trace sink receiving every query's decision events
             (None: tracing off, the zero-overhead default).
         budget: resource governor
@@ -112,10 +118,6 @@ class AnalysisConfig:
     """
 
     memo: bool = True
-    improved: bool = True
-    symmetry: bool = False
-    fm_budget: int = 256
-    eliminate_unused: bool = True
     want_witness: bool = True
     jobs: int | None = None
     sink: TraceSink | None = None
@@ -316,8 +318,9 @@ class AnalysisSession:
 
     The session wraps one :class:`DependenceAnalyzer` (so its memoizer
     and statistics accumulate across calls) and the batch engine (for
-    whole programs, sharded over ``config.jobs`` workers with the memo
-    and metrics folded back into the session).
+    whole programs, sharded over ``config.jobs`` workers, adding to the
+    session's memoizer and statistics).  ``memoizer`` replaces the
+    session's default table, keying scheme included.
     """
 
     def __init__(
@@ -329,22 +332,18 @@ class AnalysisSession:
         if memoizer is not None:
             self.memoizer: Memoizer | None = memoizer
         elif self.config.memo:
-            self.memoizer = Memoizer(
-                improved=self.config.improved, symmetry=self.config.symmetry
-            )
+            self.memoizer = Memoizer()
         else:
             self.memoizer = None
         self.analyzer = self._new_analyzer(self.config.sink)
         # Lazily created by update(): the incremental re-analysis
-        # engine, sharing this session's memo table.
+        # engine, re-querying through this session.
         self._incremental = None
 
     def _new_analyzer(self, sink: TraceSink | None) -> DependenceAnalyzer:
         """An analyzer on the session's memo table and configuration."""
         return DependenceAnalyzer(
             memoizer=self.memoizer,
-            fm_budget=self.config.fm_budget,
-            eliminate_unused=self.config.eliminate_unused,
             want_witness=self.config.want_witness,
             sink=sink,
             budget=self.config.budget,
@@ -395,7 +394,33 @@ class AnalysisSession:
             str(ref1), str(ref2), None, directions
         )
 
-    # -- whole programs ----------------------------------------------------
+    # -- batches and whole programs ----------------------------------------
+
+    def _batch(
+        self,
+        queries: Iterable,
+        want_directions: bool,
+        want_witness: bool,
+        jobs: int | None,
+    ):
+        """The batch engine (:func:`repro.core.engine.analyze_batch`) on
+        the session's memoizer, sink and budget: the batch's entries land
+        in the session's memo table and its statistics in
+        ``session.registry``.  Also the re-query of every incremental
+        session opened on this one."""
+        from repro.core.engine import analyze_batch
+
+        report = analyze_batch(
+            queries,
+            jobs=jobs,
+            warm=self.memoizer,
+            want_directions=want_directions,
+            want_witness=want_witness,
+            sink=self.config.sink,
+            budget=self.config.budget,
+        )
+        self.stats.merge(report.stats)
+        return report
 
     def analyze_program(
         self,
@@ -403,32 +428,19 @@ class AnalysisSession:
         want_directions: bool = True,
         include_self_output: bool = False,
     ) -> ProgramReport:
-        """Analyze every testable pair of a program via the batch engine.
+        """Analyze every testable pair of a program via the batch engine,
+        on ``config.jobs`` workers; later queries (and
+        ``session.registry``) see the batch's work."""
+        from repro.core.engine import queries_from_program
 
-        The sharded run warm-starts from the session's memo table and
-        folds the merged table and worker metrics back into the
-        session, so later queries (and ``session.registry``) see the
-        batch's work.
-        """
-        from repro.core.engine import analyze_batch, queries_from_program
-
-        report = analyze_batch(
+        report = self._batch(
             queries_from_program(
                 program, include_self_output=include_self_output
             ),
-            jobs=self.config.jobs,
-            warm=self.memoizer,
-            want_directions=want_directions,
-            want_witness=self.config.want_witness,
-            improved=self.config.improved,
-            symmetry=self.config.symmetry,
-            fm_budget=self.config.fm_budget,
-            sink=self.config.sink,
-            budget=self.config.budget,
+            want_directions,
+            self.config.want_witness,
+            self.config.jobs,
         )
-        self.stats.merge(report.stats)
-        if self.memoizer is not None:
-            self.memoizer.merge_from(report.memoizer)
         pairs = [
             DependenceReport.from_results(
                 str(outcome.query.ref1),
@@ -453,9 +465,9 @@ class AnalysisSession:
         dependence graph plus a per-pair answer cache keyed on
         canonical fingerprints (:mod:`repro.ir.fingerprint`).  Every
         later call diffs statement fingerprints and re-queries *only*
-        pairs an edit dirtied, through the batch engine with the
-        session's warm memo table — the spliced graph is bit-identical
-        to a cold full re-analysis (``verify=True`` asserts it).
+        pairs an edit dirtied, through this session's batch engine — the
+        spliced graph is bit-identical to a cold full re-analysis
+        (``verify=True`` asserts it).
 
         Returns an :class:`repro.core.incremental.UpdateReport`; the
         retained graph is ``session.graph``.
@@ -485,14 +497,7 @@ class AnalysisSession:
         if self._incremental is None:
             from repro.core.incremental import IncrementalSession
 
-            self._incremental = IncrementalSession(
-                memoizer=self.memoizer,
-                jobs=self.config.jobs or 1,
-                improved=self.config.improved,
-                symmetry=self.config.symmetry,
-                fm_budget=self.config.fm_budget,
-                budget=self.config.budget,
-            )
+            self._incremental = IncrementalSession(self)
         return self._incremental
 
     @property

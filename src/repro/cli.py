@@ -379,7 +379,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             queries,
             jobs=args.jobs,
             warm=warm,
-            symmetry=args.symmetry,
             want_directions=not args.no_directions,
             sink=stream,
             budget=_budget_from_args(args),
@@ -545,8 +544,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         queue_limit=args.queue_limit,
         deadline_ms=args.deadline_ms,
-        symmetry=args.symmetry,
-        fm_budget=args.fm_budget,
         budget=_budget_from_args(args),
     )
     return DependenceServer(config).run()
@@ -1000,11 +997,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write the merged memo table here",
     )
     p_batch.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="canonicalize reference-swapped twins onto one memo slot",
-    )
-    p_batch.add_argument(
         "--no-directions",
         action="store_true",
         help="skip direction-vector analysis (verdicts only)",
@@ -1170,8 +1162,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-query budget; exceeded queries degrade to the "
         "conservative flagged verdict (default: unbounded)",
     )
-    p_serve.add_argument("--symmetry", action="store_true")
-    p_serve.add_argument("--fm-budget", type=int, default=256)
     _add_budget_flags(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -134,15 +134,13 @@ class DependenceAnalyzer:
     def __init__(
         self,
         memoizer: Memoizer | None = None,
-        stats: AnalyzerStats | None = None,
-        fm_budget: int = 256,
         eliminate_unused: bool = True,
         want_witness: bool = True,
         sink: TraceSink | None = None,
         budget: ResourceBudget | None = None,
     ):
         self.memoizer = memoizer
-        self.stats = stats if stats is not None else AnalyzerStats()
+        self.stats = AnalyzerStats()
         self.eliminate_unused = eliminate_unused
         self.want_witness = want_witness
         self.sink = sink if sink is not None else NULL_SINK
@@ -155,7 +153,7 @@ class DependenceAnalyzer:
         self._svpc = SvpcTest()
         self._acyclic = AcyclicTest()
         self._residue = LoopResidueTest()
-        self._fm = FourierMotzkinTest(max_branch_nodes=fm_budget)
+        self._fm = FourierMotzkinTest()
         # The cascade, cheapest first.  Each member implements the
         # uniform run(system, sink) protocol; Acyclic's NOT_APPLICABLE
         # results carry the residual system the next member should take.
@@ -422,7 +420,7 @@ class DependenceAnalyzer:
         nb_entry = _MISS
         if memo is not None:
             key_source = work if memo.improved else problem
-            nb_entry = self._nb_lookup(key_source, qsink)
+            nb_entry = self._nb_lookup(work, qsink)
             if nb_entry is not _MISS and nb_entry.independent:
                 if qsink.enabled:
                     qsink.emit(
@@ -435,7 +433,7 @@ class DependenceAnalyzer:
                     from_memo=True,
                 )
 
-        outcome = self._gcd_outcome(work, key_source, nb_entry, qsink)
+        outcome = self._gcd_outcome(work, nb_entry, qsink)
         if outcome.independent:
             self.stats.inc("gcd_independent")
             if qsink.enabled:
@@ -649,7 +647,7 @@ class DependenceAnalyzer:
         nb_entry = _MISS
         if memo is not None:
             key_source = work if memo.improved else problem
-            nb_entry = self._nb_lookup(key_source, qsink)
+            nb_entry = self._nb_lookup(work, qsink)
             if nb_entry is not _MISS and nb_entry.independent:
                 if qsink.enabled:
                     qsink.emit(
@@ -662,7 +660,7 @@ class DependenceAnalyzer:
         # Resolve the equalities before touching the with-bounds table:
         # GCD-independent cases never consult it (Table 2's with-bounds
         # totals count only the cases that reach the inequality tests).
-        outcome = self._gcd_outcome(work, key_source, nb_entry, qsink)
+        outcome = self._gcd_outcome(work, nb_entry, qsink)
         if outcome.independent:
             self.stats.inc("gcd_independent")
             return DependenceResult(dependent=False, decided_by="gcd")
@@ -750,13 +748,17 @@ class DependenceAnalyzer:
             return oriented
         return self._lift_distances(problem, surviving, oriented)
 
-    def _nb_lookup(
-        self, key_source: DependenceProblem, qsink: TraceSink = NULL_SINK
-    ):
-        """Consult the no-bounds table; returns the entry or _MISS."""
+    def _nb_lookup(self, work: DependenceProblem, qsink: TraceSink = NULL_SINK):
+        """Consult the no-bounds table for ``work``, the system the
+        analysis factorizes; returns the entry or _MISS.
+
+        An entry holds that system's factorization, so it is keyed on
+        ``work`` under either keying scheme: with simple keys, problems
+        with equal equations can still reduce or orient differently.
+        """
         memo = self.memoizer
         assert memo is not None
-        key = key_source.key_bytes(with_bounds=False)
+        key = work.key_bytes(with_bounds=False)
         self.stats.inc("memo_queries_no_bounds")
         hit, cached = memo.no_bounds.lookup(key)
         if qsink.enabled:
@@ -769,7 +771,6 @@ class DependenceAnalyzer:
     def _gcd_outcome(
         self,
         work: DependenceProblem,
-        key_source: DependenceProblem | None,
         nb_entry,
         qsink: TraceSink = NULL_SINK,
     ) -> GcdOutcome:
@@ -804,8 +805,8 @@ class DependenceAnalyzer:
                 )
             )
         memo = self.memoizer
-        if memo is not None and key_source is not None:
-            key = key_source.key_bytes(with_bounds=False)
+        if memo is not None:
+            key = work.key_bytes(with_bounds=False)
             if outcome.independent:
                 memo.no_bounds.insert(key, _GcdCacheEntry(independent=True))
             else:

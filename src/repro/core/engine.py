@@ -17,14 +17,14 @@ whole-program (and multi-program) execution strategy:
 3. **Sharding** — unique problems are dealt across shards, each run
    in its own supervised child process
    (:func:`repro.robust.watchdog.run_supervised`); every worker runs
-   its own :class:`~repro.core.analyzer.DependenceAnalyzer` with a
-   private :class:`~repro.core.memo.Memoizer`.
+   its own :class:`~repro.core.analyzer.DependenceAnalyzer` on its own
+   copy of the caller's :class:`~repro.core.memo.Memoizer`.
 4. **Map-reduce merging** — worker verdicts are fanned back out to the
    original query order, :class:`~repro.core.stats.AnalyzerStats` are
-   summed, and the workers' memo tables are unioned with
-   :func:`~repro.core.persist.merge_memoizers` so the merged table can
-   be persisted and **warm-start** a later run (the paper's "store the
-   hash table across compilations" idea, section 5's last paragraph).
+   summed, and the workers' memo tables are merged into the caller's,
+   which can be persisted to **warm-start** a later run (the paper's
+   "store the hash table across compilations" idea, section 5's last
+   paragraph).
 
 Results are deterministic: the outcome list preserves input order and
 each verdict is computed by exactly one analyzer on one canonical
@@ -40,7 +40,6 @@ from typing import Any, Iterable
 
 from repro.core.analyzer import DependenceAnalyzer
 from repro.core.memo import Memoizer
-from repro.core.persist import load_memoizer_safe, merge_memoizers
 from repro.core.result import DependenceResult, DirectionResult
 from repro.core.stats import AnalyzerStats
 from repro.robust.budget import (
@@ -96,8 +95,9 @@ class BatchReport:
     """Everything a batch run produced.
 
     ``stats`` merges the workers' analyzer counters (plus the inline
-    constant screen); ``memoizer`` is the union of every worker's memo
-    tables, ready for :func:`~repro.core.persist.save_memoizer`.
+    constant screen); ``memoizer`` is the table the batch added to (the
+    caller's ``warm``, or a fresh one), ready for
+    :func:`~repro.core.persist.save_memoizer`.
     """
 
     outcomes: list[PairOutcome]
@@ -214,26 +214,20 @@ def _as_pair(query) -> PairQuery:
 def _run_shard(payload):
     """Analyze one shard of unique problems (runs in a worker process).
 
-    ``payload`` is ``(reps, warm, opts)`` where ``reps`` is a list of
-    ``(rep_index, ref1, nest1, ref2, nest2)`` tuples and ``warm`` is
-    the shard's own :class:`Memoizer` (or ``None``: start empty), which
-    it extends in place; an optional fourth element maps rep indices to
-    the problems stage 2 already built (attached only on the in-process
-    path, where they are shared objects rather than pickled copies).
-    Returns the per-representative answers plus this worker's stats,
-    memoizer, and (when tracing) collected trace events for the reduce
-    step.
+    ``payload`` is ``(reps, memoizer, opts)`` where ``reps`` is a list
+    of ``(rep_index, ref1, nest1, ref2, nest2)`` tuples and
+    ``memoizer`` is the shard's :class:`Memoizer`, which it extends in
+    place; an optional fourth element maps rep indices to the problems
+    stage 2 already built (attached only on the in-process path, where
+    they are shared objects rather than pickled copies).  Returns the
+    per-representative answers plus this worker's stats, memoizer, and
+    (when tracing) collected trace events for the reduce step.
     """
     reps, memoizer, opts = payload[:3]
     prebuilt = payload[3] if len(payload) > 3 else None
-    if memoizer is None:
-        memoizer = Memoizer(
-            improved=opts["improved"], symmetry=opts["symmetry"]
-        )
     shard_sink = CollectingSink() if opts.get("trace") else None
     analyzer = DependenceAnalyzer(
         memoizer=memoizer,
-        fm_budget=opts["fm_budget"],
         want_witness=opts["want_witness"],
         sink=shard_sink,
         budget=opts.get("budget"),
@@ -282,7 +276,8 @@ def _quarantine_fallback(case_payload):
     under a strict resource budget (so a pathological system terminates
     degraded rather than hanging the driver).  If even that raises, the
     answer is hand-built: dependent, all-``'*'`` directions, flagged
-    with the ``quarantine`` reason code.
+    with the ``quarantine`` reason code, and the case's memoizer is
+    returned as it stands.
     """
     reps, warm, opts = case_payload
     strict_opts = dict(opts, budget=ResourceBudget.strict(), trace=False)
@@ -309,10 +304,7 @@ def _quarantine_fallback(case_payload):
                     degraded_reason=REASON_QUARANTINE,
                 )
             answers.append((rep_index, result, directions))
-        memoizer = Memoizer(
-            improved=opts["improved"], symmetry=opts["symmetry"]
-        )
-        return answers, stats, memoizer, []
+        return answers, stats, warm, []
 
 
 # -- the driver ---------------------------------------------------------------
@@ -321,30 +313,29 @@ def _quarantine_fallback(case_payload):
 def analyze_batch(
     queries: Iterable,
     jobs: int | None = None,
-    warm: Memoizer | str | Path | None = None,
+    warm: Memoizer | None = None,
     want_directions: bool = True,
     want_witness: bool = False,
-    improved: bool = True,
-    symmetry: bool = False,
-    fm_budget: int = 256,
     sink: TraceSink | None = None,
     budget: ResourceBudget | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
     shard_timeout: float | None = None,
     shard_retries: int = 1,
-    share_warm: bool = False,
 ) -> BatchReport:
     """Analyze a whole batch of dependence queries, sharded over workers.
 
     ``queries`` may hold :class:`PairQuery` objects or anything with
     ``ref1/nest1/ref2/nest2`` attributes (e.g. the synthetic suite's
     :class:`~repro.perfect.patterns.Query`).  ``jobs`` defaults to the
-    machine's CPU count.  ``warm`` pre-loads every worker's memoizer
-    from a previous run's merged table (a
-    :class:`~repro.core.memo.Memoizer` or a path saved by
-    :func:`~repro.core.persist.save_memoizer`); its keying scheme must
-    match ``improved``/``symmetry``.
+    machine's CPU count.  ``warm`` is the memo table the batch starts
+    from and adds to, under its own keying scheme (None: a fresh
+    :class:`~repro.core.memo.Memoizer`); :attr:`BatchReport.memoizer`
+    is that table.  A lone in-process shard extends it in place.
+    Otherwise every shard starts from its own :meth:`Memoizer.copy`
+    and the reduce step merges the shards' tables into it, so each
+    shard's test counts are the same on any host.  Answers are the
+    same either way (memo entries are pure).
 
     The batch runs in-process when ``jobs=1``, when it holds one shard,
     or on a one-CPU host (forked workers would only timeshare the core)
@@ -370,17 +361,6 @@ def analyze_batch(
     (:class:`~repro.robust.budget.ResourceBudget`); a blown budget
     degrades that query to a conservative flagged answer instead of
     running away.
-
-    Every shard otherwise starts from its own :meth:`Memoizer.copy`
-    of ``warm``, so the caller's table is never mutated.
-    ``share_warm=True`` lets the in-process path use the caller's
-    ``warm`` object directly instead: the shard extends it in place and
-    :attr:`BatchReport.memoizer` *is* that object.  Answers are
-    identical either way (memo entries are pure); the only observable
-    difference is that the caller's table gains the batch's entries,
-    probe counts and recency without a copy or a merge step — exactly
-    what a long-lived incremental session or the serve daemon's shared
-    cache wants.  Ignored on the multi-process path.
     """
     items = [_as_pair(query) for query in queries]
     n_queries = len(items)
@@ -389,18 +369,7 @@ def analyze_batch(
     trace = sink is not None and sink.enabled
     screen_events: list = []
     screen_qid = 0
-
-    if warm is not None and not isinstance(warm, Memoizer):
-        # A broken warm-start file only costs warmth, never the run
-        # (load_memoizer_safe warns and returns None on corruption).
-        warm = load_memoizer_safe(warm)
-    if warm is not None and (
-        warm.improved != improved or warm.symmetry != symmetry
-    ):
-        raise ValueError(
-            "warm-start memoizer uses a different keying scheme "
-            f"(improved={warm.improved}, symmetry={warm.symmetry})"
-        )
+    memo = warm if warm is not None else Memoizer()
 
     # Stage 1: constant screen + structural dedup, one dict probe per
     # repeated query.  Unequal-constant subscripts are independent
@@ -510,11 +479,7 @@ def analyze_batch(
         and shard_timeout is None
         and (jobs == 1 or (os.cpu_count() or 1) < 2)
     )
-    share = share_warm and serial
     opts = {
-        "improved": improved,
-        "symmetry": symmetry,
-        "fm_budget": fm_budget,
         "want_witness": want_witness,
         "want_directions": want_directions,
         "trace": trace,
@@ -536,29 +501,27 @@ def analyze_batch(
         shard_index = min(range(jobs), key=lambda j: (loads[j], j))
         loads[shard_index] += rep_costs[rep_index]
         shards[shard_index].append(rep_index)
-    payloads = []
-    for shard in shards:
-        if not shard:
-            continue
-        shard.sort()
-        payloads.append(
-            (
-                [
-                    (
-                        rep_index,
-                        reps[rep_index].ref1,
-                        reps[rep_index].nest1,
-                        reps[rep_index].ref2,
-                        reps[rep_index].nest2,
-                    )
-                    for rep_index in shard
-                ],
-                # Each shard's own table: a plain copy (picklable, taken
-                # under a shared table's lock), or the live one to share.
-                warm if warm is None or share else warm.copy(),
-                opts,
-            )
+    shards = [sorted(shard) for shard in shards if shard]
+    # A lone in-process shard extends ``memo`` itself; any other shard
+    # gets a plain copy (picklable, taken under a shared table's lock).
+    in_place = serial and len(shards) == 1
+    payloads = [
+        (
+            [
+                (
+                    rep_index,
+                    reps[rep_index].ref1,
+                    reps[rep_index].nest1,
+                    reps[rep_index].ref2,
+                    reps[rep_index].nest2,
+                )
+                for rep_index in shard
+            ],
+            memo if in_place else memo.copy(),
+            opts,
         )
+        for shard in shards
+    ]
     quarantine: list = []
     watchdog_stats: list[AnalyzerStats] = []
     if serial:
@@ -582,9 +545,12 @@ def analyze_batch(
         ckpt = None
         done = None
         if checkpoint is not None:
+            # The recorded shard tables are merged into ``memo`` on
+            # resume, so its keying scheme is part of the batch.
             fingerprint = fingerprint_batch(
                 list(canonical.keys()),
-                {k: v for k, v in opts.items() if k != "trace"},
+                {k: v for k, v in opts.items() if k != "trace"}
+                | {"improved": memo.improved, "symmetry": memo.symmetry},
             )
             ckpt = BatchCheckpoint(checkpoint, fingerprint)
             done = ckpt.load(resume)
@@ -604,24 +570,17 @@ def analyze_batch(
         )
         shard_outputs = [output for group in groups for output in group]
 
-    # Stage 4: reduce.  Merge stats and memo tables; fan each
-    # representative's answer back out to every query it stands for.
+    # Stage 4: reduce.  Merge stats, and the shards' memo tables into
+    # ``memo``; fan each representative's answer back out to every
+    # query it stands for.
     merged_stats = AnalyzerStats.merged(
         [screen_stats]
         + watchdog_stats
         + [stats for _, stats, _, _ in shard_outputs]
     )
-    worker_memos = [memo for _, _, memo, _ in shard_outputs]
-    if worker_memos and all(memo is worker_memos[0] for memo in worker_memos):
-        # One table already holds every entry: a lone shard's own
-        # table, or the caller's that share_warm shards extended.
-        merged_memo = worker_memos[0]
-    elif worker_memos:
-        merged_memo = merge_memoizers(worker_memos)
-    elif warm is not None:
-        merged_memo = warm
-    else:
-        merged_memo = Memoizer(improved=improved, symmetry=symmetry)
+    for _, _, shard_memo, _ in shard_outputs:
+        if shard_memo is not memo:
+            memo.merge_from(shard_memo)
 
     if trace:
         # Shard assignment is a deterministic function of the input
@@ -654,7 +613,7 @@ def analyze_batch(
     return BatchReport(
         outcomes=outcomes,  # type: ignore[arg-type]
         stats=merged_stats,
-        memoizer=merged_memo,
+        memoizer=memo,
         jobs=jobs,
         n_queries=n_queries,
         n_screened=n_screened,

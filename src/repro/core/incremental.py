@@ -22,10 +22,11 @@ When the program is edited:
    them (an index shift changes no kind, vector or orientation);
 3. only pairs with no kept edges — a dirty endpoint, two statements an
    edit swapped, or an answer that was degraded — are re-queried
-   through the batch engine (:func:`~repro.core.engine.analyze_batch`)
-   with the session's warm memo table, so even "new" statements that
-   repeat a known subscript pattern cost one memo probe, and only they
-   are classified (:func:`~repro.core.kinds.classify_pair`).
+   through the batch engine of the session's
+   :class:`~repro.api.AnalysisSession`, on its warm memo table, so even
+   "new" statements that repeat a known subscript pattern cost one memo
+   probe, and only they are classified
+   (:func:`~repro.core.kinds.classify_pair`).
 
 So an edit re-queries and classifies only its dirty pairs and builds
 new edges only where it shifted sites; a row it rebuilt costs one
@@ -60,8 +61,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.api import AnalysisSession
 from repro.core.analyzer import DependenceAnalyzer
-from repro.core.engine import PairQuery, analyze_batch
+from repro.core.engine import PairQuery
 from repro.core.graph import DependenceGraph, build_graph
 from repro.core.kinds import DependenceEdge, classify_pair
 from repro.core.memo import Memoizer
@@ -76,7 +78,6 @@ from repro.ir.fingerprint import (
 from repro.ir.program import AccessSite, Program, Statement
 from repro.opt.pipeline import compile_source
 from repro.opt.spans import SpanCompiler
-from repro.robust.budget import ResourceBudget
 
 __all__ = [
     "IncrementalSession",
@@ -90,12 +91,7 @@ class IncrementalMismatchError(AssertionError):
     """The delta path diverged from a full re-analysis (a bug)."""
 
 
-def full_graph(
-    program: Program,
-    improved: bool = True,
-    symmetry: bool = False,
-    fm_budget: int = 256,
-) -> DependenceGraph:
+def full_graph(program: Program) -> DependenceGraph:
     """A cold full re-analysis: fresh analyzer, fresh memo, all pairs.
 
     The reference the delta path is verified against (``verify=True``,
@@ -103,11 +99,7 @@ def full_graph(
     ungoverned: the invariant is *delta ≡ full*, and a wall-clock
     budget could make "full" itself nondeterministic.
     """
-    analyzer = DependenceAnalyzer(
-        memoizer=Memoizer(improved=improved, symmetry=symmetry),
-        fm_budget=fm_budget,
-        want_witness=False,
-    )
+    analyzer = DependenceAnalyzer(memoizer=Memoizer(), want_witness=False)
     return build_graph(program, analyzer)
 
 
@@ -257,30 +249,16 @@ class IncrementalSession:
 
     The first :meth:`update` is a full analysis that seeds the rows;
     every later call diffs fingerprints, re-queries only the pairs
-    with no kept edges and rebuilds only the rows an edit touched.  The
-    session owns (or shares) a :class:`~repro.core.memo.Memoizer`, so
-    re-queries warm-start from everything the session has ever computed.
+    with no kept edges and rebuilds only the rows an edit touched.
+    Re-queries run through ``session`` (a default
+    :class:`~repro.api.AnalysisSession` when None): on its memoizer,
+    sink and budget, with its ``jobs`` or in-process, and their
+    statistics join its registry, so they warm-start from everything
+    the session has ever computed.
     """
 
-    def __init__(
-        self,
-        memoizer: Memoizer | None = None,
-        jobs: int = 1,
-        improved: bool = True,
-        symmetry: bool = False,
-        fm_budget: int = 256,
-        budget: ResourceBudget | None = None,
-    ):
-        self.memoizer = (
-            memoizer
-            if memoizer is not None
-            else Memoizer(improved=improved, symmetry=symmetry)
-        )
-        self.jobs = jobs
-        self.improved = improved
-        self.symmetry = symmetry
-        self.fm_budget = fm_budget
-        self.budget = budget
+    def __init__(self, session: AnalysisSession | None = None):
+        self.session = session if session is not None else AnalysisSession()
         self.program: Program | None = None
         self.graph: DependenceGraph | None = None
         self.fingerprint: ProgramFingerprint | None = None
@@ -451,7 +429,8 @@ class IncrementalSession:
     ) -> int:
         """Answer and classify the pairs with no kept edges and complete
         their ``pending`` rows; returns how many answers were degraded."""
-        report = analyze_batch(
+        session = self.session
+        report = session._batch(
             [
                 PairQuery(
                     ref1=site.ref,
@@ -462,20 +441,10 @@ class IncrementalSession:
                 )
                 for index, (site, later, _, _) in enumerate(misses)
             ],
-            jobs=self.jobs,
-            warm=self.memoizer,
             want_directions=True,
             want_witness=False,
-            improved=self.improved,
-            symmetry=self.symmetry,
-            fm_budget=self.fm_budget,
-            budget=self.budget,
-            share_warm=True,
+            jobs=session.config.jobs or 1,
         )
-        if report.memoizer is not self.memoizer:
-            # Multi-job path: fold the workers' new entries back in
-            # (share_warm already did this in place when jobs=1).
-            self.memoizer.merge_from(report.memoizer)
         degraded = []
         for outcome in report.outcomes:
             directions = outcome.directions
@@ -549,12 +518,7 @@ class IncrementalSession:
     def verify(self) -> None:
         """Assert the retained graph ≡ a cold full re-analysis."""
         assert self.program is not None and self.graph is not None
-        reference = full_graph(
-            self.program,
-            improved=self.improved,
-            symmetry=self.symmetry,
-            fm_budget=self.fm_budget,
-        )
+        reference = full_graph(self.program)
         if (
             self.graph.edges != reference.edges
             or self.graph.to_dot() != reference.to_dot()

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.baselines import BaselineAnalyzer
+from repro.core.analyzer import DependenceAnalyzer
 from repro.core.memo import Memoizer
 from repro.core.stats import TEST_ORDER, AnalyzerStats
 from repro.harness.tables import render_table
@@ -166,16 +167,11 @@ def run_table2(scale: float = 1.0) -> TableResult:
         cells: dict[str, float] = {}
         for improved in (False, True):
             memo = Memoizer(improved=improved)
-            session = AnalysisSession(
-                AnalysisConfig(
-                    improved=improved,
-                    want_witness=False,
-                    eliminate_unused=improved,
-                ),
-                memoizer=memo,
+            analyzer = DependenceAnalyzer(
+                memoizer=memo, eliminate_unused=improved, want_witness=False
             )
             for query in program.queries:
-                session.analyze(query.ref1, query.nest1, query.ref2, query.nest2)
+                analyzer.analyze(query.ref1, query.nest1, query.ref2, query.nest2)
             label = "improved" if improved else "simple"
             cells[f"nb_total_{label}"] = memo.no_bounds.stats.queries
             cells[f"nb_unique_{label}"] = memo.no_bounds.stats.unique
@@ -261,9 +257,7 @@ def _run_directions(
     prune: bool,
     include_symbolic_stats: bool = False,
 ) -> AnalyzerStats:
-    session = AnalysisSession(
-        AnalysisConfig(want_witness=False, eliminate_unused=prune)
-    )
+    session = AnalysisSession(AnalysisConfig(want_witness=False))
     for query in program.queries:
         session.directions(
             query.ref1,

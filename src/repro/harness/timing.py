@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.analyzer import DependenceAnalyzer
 from repro.deptests.acyclic import AcyclicTest
 from repro.deptests.fourier_motzkin import FourierMotzkinTest
 from repro.deptests.loop_residue import LoopResidueTest
@@ -78,18 +77,3 @@ def time_tests(repeats: int = 200) -> list[TestTiming]:
         for name, microseconds in measured.items()
     ]
 
-
-def time_full_pipeline(repeats: int = 50) -> float:
-    """Microseconds per full analyze() call on a mixed workload."""
-    queries = [
-        make_query(bucket, idx)
-        for bucket in ("svpc", "acyclic", "loop_residue", "fourier_motzkin")
-        for idx in range(3)
-    ]
-    analyzer = DependenceAnalyzer(want_witness=False)
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for query in queries:
-            analyzer.analyze(query.ref1, query.nest1, query.ref2, query.nest2)
-    elapsed = time.perf_counter() - start
-    return 1e6 * elapsed / (repeats * len(queries))

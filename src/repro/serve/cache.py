@@ -14,8 +14,9 @@ leave a truncated store — and if one appears anyway (external
 truncation, version skew), loading skips it with a warning and the
 server starts cold; corruption costs warmth, never availability.
 Loading is all-or-nothing: the whole image decodes before any entry is
-adopted.  The image's ``version`` and memo keying flags
-(``improved``/``symmetry``) must match.  The store is **bounded**:
+adopted.  The image's ``version`` must match, and so must its memo
+keying flags (``improved``/``symmetry``): the daemon's memoizer uses
+the default scheme.  The store is **bounded**:
 before writing, entries are LRU-evicted until the encoded payload fits
 ``max_bytes``.  Because the format is shared, a ``batch --warm-cache``
 file warms the daemon and the daemon's store warms a batch run.
@@ -142,8 +143,6 @@ class ServeCache:
         self,
         path: str | Path | None = None,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        improved: bool = True,
-        symmetry: bool = False,
         registry: MetricsRegistry | None = None,
     ):
         self.path = Path(path) if path is not None else None
@@ -154,8 +153,6 @@ class ServeCache:
         self.memoizer = Memoizer(
             no_bounds=RecencyMemoTable(lock=lock, clock=clock),
             with_bounds=RecencyMemoTable(lock=lock, clock=clock),
-            improved=improved,
-            symmetry=symmetry,
         )
         self._lock = lock
         self.loaded_entries = 0

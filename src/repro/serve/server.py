@@ -58,8 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api import AnalysisConfig, AnalysisSession, DependenceReport
-from repro.core.engine import analyze_batch, queries_from_program
+from repro.api import AnalysisConfig, AnalysisSession
 from repro.core.incremental import IncrementalSession
 from repro.frontends import LANGUAGES, extract_or_raise
 from repro.ir.program import Program, reference_pairs
@@ -224,9 +223,6 @@ class ServeConfig:
     max_inflight: int = 8  # analysis worker threads
     queue_limit: int = 32  # admitted-but-waiting requests beyond that
     deadline_ms: float | None = None  # per-query budget (None: unbounded)
-    improved: bool = True
-    symmetry: bool = False
-    fm_budget: int = 256
     announce: bool = True  # print the {"serving": ...} line on stdout
     # In-analyzer resource governor (repro.robust.budget): bounds each
     # query *inside* the worker, complementing deadline_ms, which only
@@ -244,8 +240,6 @@ class DependenceServer:
         self.cache = ServeCache(
             path=self.config.cache_path,
             max_bytes=self.config.cache_max_bytes,
-            improved=self.config.improved,
-            symmetry=self.config.symmetry,
             registry=self.registry,
         )
         self.flight = SingleFlight(registry=self.registry)
@@ -253,9 +247,6 @@ class DependenceServer:
         self.session = AnalysisSession(
             AnalysisConfig(
                 memo=True,
-                improved=self.config.improved,
-                symmetry=self.config.symmetry,
-                fm_budget=self.config.fm_budget,
                 want_witness=False,
                 jobs=1,
                 budget=self.config.budget,
@@ -749,52 +740,33 @@ class DependenceServer:
             )
         source, lang = request.params["source"], request.params.get("lang")
         want_directions = bool(request.params.get("directions", True))
-        compiled: list = []  # the program's queries, once compiled
+        compiled: list[Program] = []
 
         def work() -> dict:
             # The compile runs here too, under the deadline and off the
             # event loop.  In this worker thread, on the live shared
             # memoizer: the batch's probes, hits and inserts land in the
-            # cache itself (its counters and LRU stamps), with no copy
-            # or merge.
-            queries = queries_from_program(self._compile(source, lang))
-            compiled.append(queries)
-            report = analyze_batch(
-                queries,
-                jobs=1,
-                warm=self.cache.memoizer,
-                share_warm=True,
-                want_directions=want_directions,
-                improved=self.config.improved,
-                symmetry=self.config.symmetry,
-                fm_budget=self.config.fm_budget,
-                budget=self.config.budget,
+            # cache itself (its counters and LRU stamps).
+            program = self._compile(source, lang)
+            compiled.append(program)
+            report = self.session.analyze_program(
+                program, want_directions=want_directions
             )
-            self.session.stats.merge(report.stats)
-            pairs = [
-                protocol.report_to_wire(
-                    DependenceReport.from_results(
-                        str(outcome.query.ref1),
-                        str(outcome.query.ref2),
-                        outcome.result,
-                        outcome.directions,
-                    )
-                )
-                for outcome in report.outcomes
-            ]
-            return {"pairs": pairs, "summary": report.summary()}
+            pairs = [protocol.report_to_wire(pair) for pair in report.pairs]
+            return {"pairs": pairs, "summary": report.summary}
 
         def degrade() -> dict:
             # A deadline that passes before the compile finishes has no
             # pairs to hedge: the flagged summary is the whole answer.
             pairs = [
                 protocol.degraded_report(
-                    str(query.ref1),
-                    str(query.ref2),
-                    query.nest1.common_prefix_depth(query.nest2),
+                    str(site1.ref),
+                    str(site2.ref),
+                    site1.nest.common_prefix_depth(site2.nest),
                     want_directions,
                 )
-                for query in (compiled[0] if compiled else ())
+                for program in compiled
+                for site1, site2 in reference_pairs(program)
             ]
             return {"pairs": pairs, "summary": {"degraded": True}}
 
@@ -803,17 +775,11 @@ class DependenceServer:
     # -- incremental session ops (protocol v3) -----------------------------
 
     def _open_incremental(self) -> IncrementalSession:
-        # On the live shared memoizer, like analyze_program: re-queries
-        # warm-start from everything the server ever computed, and their
-        # probes, hits, inserts and LRU stamps land in the cache itself.
-        return IncrementalSession(
-            memoizer=self.cache.memoizer,
-            jobs=1,
-            improved=self.config.improved,
-            symmetry=self.config.symmetry,
-            fm_budget=self.config.fm_budget,
-            budget=self.config.budget,
-        )
+        # Through the daemon's session, like analyze_program: re-queries
+        # warm-start from everything the server ever computed, their
+        # probes, hits, inserts and LRU stamps land in the cache itself,
+        # and their statistics in the session's registry.
+        return IncrementalSession(self.session)
 
     def _apply_update(
         self,

@@ -5,6 +5,7 @@ counter part of the registry must be bit-identical whatever the shard
 count (histograms carry wall times and are excluded by design).
 """
 
+import random
 import threading
 
 import pytest
@@ -16,9 +17,12 @@ from repro import (
     DependenceReport,
 )
 from repro.core.engine import analyze_batch, queries_from_suite
+from repro.core.memo import Memoizer
+from repro.fuzz.edits import mutate, storm_program
 from repro.ir import builder as B
 from repro.obs.events import DirectionNode, QueryEnd, QueryStart
 from repro.perfect import load_suite
+from repro.serve.protocol import report_to_wire
 
 NEST = B.nest(("i", 1, 10))
 
@@ -199,6 +203,72 @@ class TestAnalyzeProgram:
         # repeat of the same pair hits the memo immediately.
         w, r = _shift_pair()
         assert session.analyze(w, NEST, r, NEST).from_memo
+
+
+def _wire(pairs) -> list[dict]:
+    return [report_to_wire(pair) for pair in pairs]
+
+
+def _storm():
+    return storm_program(seed=3, statements=6, arrays=2)
+
+
+class TestTheMemoizerOwnsTheKeyingScheme:
+    """A session given a memoizer of another keying scheme runs every
+    entry point under it: the answers are a default session's, and the
+    entries land in that memoizer."""
+
+    SCHEMES = [{"symmetry": True}, {"improved": False}]
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=["symmetric", "simple"])
+    def test_analyze_program(self, scheme):
+        program = _storm()
+        expected = AnalysisSession(AnalysisConfig(jobs=1)).analyze_program(program)
+        memo = Memoizer(**scheme)
+        session = AnalysisSession(AnalysisConfig(jobs=1), memoizer=memo)
+        report = session.analyze_program(program)
+        assert _wire(report.pairs) == _wire(expected.pairs)
+        entries = len(memo.no_bounds) + len(memo.with_bounds)
+        assert entries > 0
+        assert report.summary["memo_entries"] == entries
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=["symmetric", "simple"])
+    def test_update(self, scheme):
+        program = _storm()
+        default = AnalysisSession(AnalysisConfig(jobs=1))
+        memo = Memoizer(**scheme)
+        session = AnalysisSession(AnalysisConfig(jobs=1), memoizer=memo)
+        rng = random.Random(3)
+        for _ in range(3):
+            report = session.update(program, verify=True)
+            default.update(program)
+            assert report.requeried_pairs > 0
+            assert session.graph.edge_dicts() == default.graph.edge_dicts()
+            program, _ = mutate(program, rng, arrays=2)
+        assert len(memo.with_bounds) > 0
+
+
+class TestUpdateReportsToTheSession:
+    def test_update_traces_and_counts_like_analyze_program(self):
+        """An update's batch emits its trace events to the session's
+        sink and adds its queries to the session's statistics, as
+        analyze_program does (the first update queries every pair)."""
+        program = _storm()
+        sink = CollectingSink()
+        session = AnalysisSession(AnalysisConfig(sink=sink, jobs=1))
+        session.update(program)
+        twin_sink = CollectingSink()
+        twin = AnalysisSession(
+            AnalysisConfig(sink=twin_sink, jobs=1, want_witness=False)
+        )
+        twin.analyze_program(program)
+        starts = [e for e in sink.events if isinstance(e, QueryStart)]
+        assert len(starts) == session.stats.total_queries > 0
+        assert len(sink.events) == len(twin_sink.events)
+        assert (
+            session.registry.counter_snapshot()
+            == twin.registry.counter_snapshot()
+        )
 
 
 @pytest.mark.usefixtures("two_cpus")

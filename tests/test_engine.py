@@ -149,19 +149,22 @@ class TestWarmStart:
                 assert a.result.decided_by == b.result.decided_by
                 assert a.result.distance == b.result.distance
 
-    def test_warm_accepts_path(self, tmp_path):
-        from repro.core.persist import save_memoizer
-
-        queries = [_shift_query()]
-        cold = analyze_batch(queries, jobs=1)
-        path = tmp_path / "cache.json"
-        save_memoizer(cold.memoizer, path)
-        warm = analyze_batch(queries, jobs=1, warm=path)
-        assert sum(warm.stats.decided_by.values()) == 0
-
-    def test_warm_scheme_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            analyze_batch([], warm=Memoizer(improved=False))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_adds_to_the_callers_memoizer(self, jobs):
+        """The report's table is the caller's ``warm``, extended in place
+        by a lone in-process shard and merged into otherwise; either
+        way it ends with every key the batch probed."""
+        queries = _suite_queries(scale=0.1)
+        serial = analyze_batch(queries, jobs=1, want_directions=False)
+        memo = Memoizer()
+        report = analyze_batch(
+            queries, jobs=jobs, want_directions=False, warm=memo
+        )
+        assert report.memoizer is memo
+        for name in ("no_bounds", "with_bounds"):
+            assert {key for key, _ in getattr(memo, name).items()} == {
+                key for key, _ in getattr(serial.memoizer, name).items()
+            }
 
 
 @pytest.mark.usefixtures("two_cpus")

@@ -34,6 +34,10 @@ from repro.robust.budget import ResourceBudget
 from repro.system.depsystem import Direction
 
 
+def _governed(budget: ResourceBudget) -> IncrementalSession:
+    return IncrementalSession(AnalysisSession(AnalysisConfig(budget=budget)))
+
+
 def _assert_identical(session: IncrementalSession, program) -> None:
     reference = full_graph(program)
     assert session.graph.edges == reference.edges
@@ -197,8 +201,7 @@ class TestDegradation:
 
     def test_degraded_pairs_are_conservative_and_not_cached(self):
         program = storm_program(seed=5, statements=6, arrays=3)
-        blown = ResourceBudget(deadline_s=0.0)
-        session = IncrementalSession(budget=blown)
+        session = _governed(ResourceBudget(deadline_s=0.0))
         report = session.update(program)
         assert report.degraded_pairs > 0
         # degraded answers reach the graph as the lattice top ...
@@ -215,13 +218,13 @@ class TestDegradation:
 
     def test_degraded_pairs_are_requeried_next_update(self):
         program = storm_program(seed=5, statements=6, arrays=3)
-        blown = ResourceBudget(deadline_s=0.0)
-        session = IncrementalSession(budget=blown)
+        session = _governed(ResourceBudget(deadline_s=0.0))
         first = session.update(program)
         assert first.degraded_pairs > 0
         assert session.graph.edges != full_graph(program).edges
-        # lift the pressure: the same session, no budget, same program
-        session.budget = None
+        # lift the pressure: the same session re-queries through an
+        # ungoverned analysis session on the same memo, same program
+        session.session = AnalysisSession(memoizer=session.session.memoizer)
         second = session.update(program)
         assert second.requeried_pairs == first.degraded_pairs
         assert second.degraded_pairs == 0
@@ -234,7 +237,7 @@ class TestDegradation:
 
     def test_verify_raises_on_divergence(self):
         program = storm_program(seed=5, statements=6, arrays=3)
-        session = IncrementalSession(budget=ResourceBudget(deadline_s=0.0))
+        session = _governed(ResourceBudget(deadline_s=0.0))
         session.update(program)
         with pytest.raises(IncrementalMismatchError):
             # the degraded graph is conservative, not exact: verify
@@ -454,7 +457,8 @@ class TestApiSurface:
         program = storm_program(seed=11, statements=6, arrays=3)
         session = AnalysisSession(AnalysisConfig())
         session.update(program)
-        assert session._incremental.memoizer is session.memoizer
+        assert session._incremental.session is session
+        assert len(session.memoizer.with_bounds) > 0
 
     def test_edit_kinds_constant_is_exhaustive(self):
         assert set(EDIT_KINDS) == {"bound", "subscript", "insert", "delete"}

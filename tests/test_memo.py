@@ -233,6 +233,20 @@ class TestAnalyzerMemoization:
         )
         assert not result_b.from_memo
 
+    def test_simple_keys_reuse_a_factorization_only_for_its_system(self):
+        """Under simple keys with unused-variable elimination, a pair's
+        plain query drops the unused outer ``j`` while its direction
+        query keeps that level: two systems, each with its own GCD
+        factorization (reusing the plain one raised IndexError)."""
+        nest = B.nest(("i", 2, 14), ("j", 3, 10))
+        write = B.ref("a", [B.v("i") + 2], write=True)
+        read = B.ref("a", [B.v("i") + B.v("j") + 3])
+        expected = DependenceAnalyzer().directions(write, nest, read, nest)
+        analyzer = DependenceAnalyzer(memoizer=Memoizer(improved=False))
+        assert analyzer.analyze(write, nest, read, nest).dependent
+        got = analyzer.directions(write, nest, read, nest)
+        assert got.vectors == expected.vectors
+
     def test_different_bounds_share_gcd_but_not_verdict(self):
         """Matching subscripts with different bounds reuse only the
         no-bounds (GCD) table."""

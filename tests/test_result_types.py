@@ -6,7 +6,6 @@ from repro.core.result import DependenceResult, DirectionResult
 from repro.core.stats import AnalyzerStats
 from repro.deptests.base import TestResult, Verdict
 from repro.harness.cli import main as harness_main
-from repro.harness.timing import time_full_pipeline
 from repro.system.constraints import Interval
 
 
@@ -95,7 +94,3 @@ class TestHarnessSurfaces:
         out = capsys.readouterr().out
         assert "usec/test" in out
         assert "fourier_motzkin" in out
-
-    def test_time_full_pipeline(self):
-        per_call = time_full_pipeline(repeats=2)
-        assert per_call > 0

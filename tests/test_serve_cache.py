@@ -203,14 +203,18 @@ class TestServeCachePersistence:
         assert cold.registry.get("serve.cache.version_skips") == 1
 
     def test_keying_flags_must_match(self, tmp_path):
-        """A store written under symmetry=False is useless (wrong keys)
-        for a symmetry=True server: it must be skipped, not misread."""
+        """An image written under symmetry=True is useless (wrong keys)
+        for the daemon's default-scheme memoizer: it must be skipped,
+        not misread."""
         path = tmp_path / "serve-cache.json"
-        cache = ServeCache(path=path, symmetry=False)
-        _warm(cache)
-        cache.save()
+        symmetric = Memoizer(symmetry=True)
+        analyzer = DependenceAnalyzer(memoizer=symmetric, want_witness=False)
+        for query in generate_program(PROGRAM_SPECS[1]):
+            analyzer.analyze(query.ref1, query.nest1, query.ref2, query.nest2)
+        assert len(symmetric.with_bounds) > 0
+        save_memoizer(symmetric, path)
         with pytest.warns(RuntimeWarning, match="mismatch"):
-            other = ServeCache(path=path, symmetry=True)
+            other = ServeCache(path=path)
         assert other.entry_count() == 0
 
     def test_missing_file_is_silent(self, tmp_path):

@@ -758,10 +758,14 @@ class TestDeadlineDegradation:
 
     def test_real_program_batch_blows_deadline(self):
         """No simulation: a whole-program batch this heavy cannot beat
-        a 1 ms budget, so every pair comes back degraded (and
-        flagged)."""
+        a 50 ms budget, so every pair comes back degraded (and
+        flagged).  Both sides have a margin: the 24-statement source
+        compiles in about 2 ms, well inside the deadline even when the
+        work waits on a fresh pool thread (a compile that misses it
+        answers with no pairs, as test_deadline_covers_the_compile
+        pins), and its ~850 pairs take a few hundred ms to analyze."""
         body = "\n".join(
-            f"    a[i + {k}][j] = a[i][j + {k}]" for k in range(6)
+            f"    a[i + {k}][j] = a[i][j + {k}]" for k in range(24)
         )
         source = (
             "for i = 1 to 50 do\n"
@@ -771,7 +775,7 @@ class TestDeadlineDegradation:
             "end\n"
         )
         handle = _RunningServer(
-            ServeConfig(announce=False, deadline_ms=1.0)
+            ServeConfig(announce=False, deadline_ms=50.0)
         )
         try:
             with handle.client(timeout=120.0) as client:
@@ -1260,6 +1264,30 @@ class TestIncrementalSessions:
             versions[1].statements
         )
 
+    def test_stats_count_the_session_ops_analyzer_work(self, running):
+        """open_session and update_source run their batches through the
+        daemon's analysis session, so the stats op counts their queries
+        as an in-process session counts its own."""
+        from repro.api import AnalysisConfig, AnalysisSession
+
+        versions, sources = self._sources(edits=1)
+
+        def queries(client) -> int:
+            return client.stats()["registry"]["scalars"].get("queries.total", 0)
+
+        with running.client() as client:
+            before = queries(client)
+            sid = client.open_session(source=sources[0])["session"]
+            opened = queries(client)
+            summary = client.update_source(sid, sources[1])
+            updated = queries(client)
+        assert summary["requeried"] > 0
+        replica = AnalysisSession(AnalysisConfig(want_witness=False, jobs=1))
+        replica.update(versions[0])
+        assert opened - before == replica.stats.total_queries > 0
+        replica.update(versions[1])
+        assert updated - before == replica.stats.total_queries > opened - before
+
     def test_sessions_run_on_the_live_memo(self, running):
         """A session's probes, hits and inserts land in the daemon's
         cache itself: the same counts an in-process session keeps on a
@@ -1275,7 +1303,7 @@ class TestIncrementalSessions:
         replica = IncrementalSession()
         for source in sources:
             replica.update_source(source)
-        memo = replica.memoizer
+        memo = replica.session.memoizer
         assert cache["entries"] == len(memo.no_bounds) + len(memo.with_bounds)
         for name in ("no_bounds", "with_bounds"):
             table = getattr(memo, name)
@@ -1325,7 +1353,7 @@ class TestIncrementalSessions:
             assert graphs[index]["edges"] == full_graph(versions[-1]).edge_dicts()
             for source in sources:
                 replica.update_source(source)
-        memo = replica.memoizer
+        memo = replica.session.memoizer
         assert entries == len(memo.no_bounds) + len(memo.with_bounds)
 
     def test_session_memoizer_is_the_cache_itself(self, tmp_path):
@@ -1339,7 +1367,8 @@ class TestIncrementalSessions:
         server = DependenceServer(ServeConfig(cache_path=str(path)))
         try:
             assert server.cache.entry_count() > 0
-            assert server._open_incremental().memoizer is server.cache.memoizer
+            opened = server._open_incremental()
+            assert opened.session.memoizer is server.cache.memoizer
         finally:
             server._executor.shutdown()
 
