@@ -306,10 +306,12 @@ def _report(
     want_directions: bool,
 ) -> DependenceReport:
     """One query's :class:`DependenceReport` from ``analyzer``."""
-    result = analyzer.analyze(ref1, nest1, ref2, nest2)
-    directions = None
     if want_directions:
-        directions = analyzer.directions_after(result, ref1, nest1, ref2, nest2)
+        result, directions = analyzer.analyze_with_directions(
+            ref1, nest1, ref2, nest2
+        )
+    else:
+        result, directions = analyzer.analyze(ref1, nest1, ref2, nest2), None
     return DependenceReport.from_results(str(ref1), str(ref2), result, directions)
 
 

@@ -74,6 +74,27 @@ class CascadeDecision:
     witness_t: tuple[int, ...] | None
 
 
+@dataclass(slots=True)
+class _Preparation:
+    """What a plain query built that its pair's direction query reuses.
+
+    ``work`` is the reduced problem the plain query analyzed,
+    ``outcome`` its Extended GCD transform, whose t-space system the
+    cascade has usually built already, ``distances`` the transform's
+    constant distances and ``witness_t`` the cascade's t-space witness
+    (None when a memo hit skipped the cascade).  The direction query
+    takes it only when it reduced the pair to this very ``work`` object:
+    that rules out a closure that kept more variables and the swapped
+    twin a symmetric memo analyzes.  It lives only between the two
+    halves of :meth:`DependenceAnalyzer.analyze_with_directions`.
+    """
+
+    work: DependenceProblem
+    outcome: GcdOutcome
+    distances: tuple[int | None, ...] | None
+    witness_t: tuple[int, ...] | None
+
+
 _MISS = object()  # sentinel: no-bounds table had no entry
 
 # Direction-query memo keys append an option tail to the problem's
@@ -258,6 +279,16 @@ class DependenceAnalyzer:
         nest2: LoopNest,
     ) -> DependenceResult:
         """Can the two references touch the same element? (section 2)"""
+        return self._analyze(ref1, nest1, ref2, nest2)[0]
+
+    def _analyze(
+        self,
+        ref1: ArrayRef,
+        nest1: LoopNest,
+        ref2: ArrayRef,
+        nest2: LoopNest,
+    ) -> tuple[DependenceResult, _Preparation | None]:
+        """:meth:`analyze`, plus what a direction query can reuse."""
         self.stats.inc("total_queries")
         qsink, start = (
             self._begin_trace(
@@ -274,18 +305,19 @@ class DependenceAnalyzer:
                 self._end_trace(
                     qsink, start, constant.dependent, constant.decided_by, True
                 )
-            return constant
+            return constant, None
         scope = self._open_scope()
+        prep = None
         try:
             problem = self._build_problem_cached(ref1, nest1, ref2, nest2)
-            result = self._analyze_problem(problem, qsink, scope)
+            result, prep = self._analyze_problem(problem, qsink, scope)
         except BudgetExceeded as blown:
             result = self._degraded_result(blown)
         if qsink.enabled:
             self._end_trace(
                 qsink, start, result.dependent, result.decided_by, result.exact
             )
-        return result
+        return result, prep
 
     def analyze_sites(self, site1: AccessSite, site2: AccessSite) -> DependenceResult:
         return self.analyze(site1.ref, site1.nest, site2.ref, site2.nest)
@@ -307,6 +339,49 @@ class DependenceAnalyzer:
         """
         if prune_unused is None:
             prune_unused = self.eliminate_unused
+        return self._directions(
+            ref1, nest1, ref2, nest2, prune_unused, prune_distance, None
+        )
+
+    def analyze_with_directions(
+        self,
+        ref1: ArrayRef,
+        nest1: LoopNest,
+        ref2: ArrayRef,
+        nest2: LoopNest,
+    ) -> tuple[DependenceResult, DirectionResult]:
+        """The pair's plain verdict and its direction vectors, in one call.
+
+        The answers, counters and trace events are those of
+        :meth:`analyze` followed, for a dependent pair, by
+        :meth:`directions`; directions asked for on an independent pair
+        are the empty set, not "not computed", and cost no refinement.
+        The direction query still makes its own memo probes, but when
+        both queries reduce the pair to the same variables and the plain
+        one kept its orientation, it takes the plain query's reduced
+        problem, GCD transform, constant distances and witness instead
+        of building them again; the witness seeds the refinement root.
+        """
+        result, prep = self._analyze(ref1, nest1, ref2, nest2)
+        if not result.dependent:
+            return result, DirectionResult(
+                vectors=frozenset(), n_common=nest1.common_prefix_depth(nest2)
+            )
+        return result, self._directions(
+            ref1, nest1, ref2, nest2, self.eliminate_unused, True, prep
+        )
+
+    def _directions(
+        self,
+        ref1: ArrayRef,
+        nest1: LoopNest,
+        ref2: ArrayRef,
+        nest2: LoopNest,
+        prune_unused: bool,
+        prune_distance: bool,
+        handed: _Preparation | None,
+    ) -> DirectionResult:
+        """:meth:`directions`, reusing ``handed`` where it applies."""
         self.stats.inc("total_queries")
         n_common_full = nest1.common_prefix_depth(nest2)
         qsink, start = (
@@ -341,7 +416,7 @@ class DependenceAnalyzer:
         try:
             return self._directions_impl(
                 ref1, nest1, ref2, nest2, prune_unused, prune_distance,
-                n_common_full, qsink, start, scope,
+                n_common_full, qsink, start, scope, handed,
             )
         except BudgetExceeded as blown:
             result = self._degraded_directions(blown, n_common_full)
@@ -356,25 +431,6 @@ class DependenceAnalyzer:
                 )
             return result
 
-    def directions_after(
-        self,
-        result: DependenceResult,
-        ref1: ArrayRef,
-        nest1: LoopNest,
-        ref2: ArrayRef,
-        nest2: LoopNest,
-    ) -> DirectionResult:
-        """The pair's direction vectors, given its plain verdict ``result``.
-
-        Directions asked for on an independent pair are the empty set,
-        not "not computed", and cost no refinement.
-        """
-        if result.dependent:
-            return self.directions(ref1, nest1, ref2, nest2)
-        return DirectionResult(
-            vectors=frozenset(), n_common=nest1.common_prefix_depth(nest2)
-        )
-
     def _directions_impl(
         self,
         ref1: ArrayRef,
@@ -387,6 +443,7 @@ class DependenceAnalyzer:
         qsink: TraceSink,
         start: int,
         scope: BudgetScope,
+        handed: _Preparation | None,
     ) -> DirectionResult:
         """The un-governed body of :meth:`directions` (may raise
         :class:`~repro.robust.budget.BudgetExceeded`)."""
@@ -413,6 +470,12 @@ class DependenceAnalyzer:
             else:
                 work, surviving_cached, forced_dropped = prep
                 surviving = list(surviving_cached)
+        if handed is not None and handed.work is not work:
+            # The safe-keep closure kept more variables than the plain
+            # query, or the plain query analyzed the swapped twin.  (When
+            # both keep the same variables, eliminate_unused returns the
+            # plain query's reduced problem itself.)
+            handed = None
 
         memo = self.memoizer
         memo_key = None
@@ -433,7 +496,9 @@ class DependenceAnalyzer:
                     from_memo=True,
                 )
 
-        outcome = self._gcd_outcome(work, nb_entry, qsink)
+        outcome = self._gcd_outcome(
+            work, nb_entry, qsink, None if handed is None else handed.outcome
+        )
         if outcome.independent:
             self.stats.inc("gcd_independent")
             if qsink.enabled:
@@ -478,12 +543,16 @@ class DependenceAnalyzer:
 
         transformed = outcome.transformed
         assert transformed is not None
+        distances = witness_t = None
+        if handed is not None:
+            distances, witness_t = handed.distances, handed.witness_t
         # Refinement runs up to 3^depth cascades: their per-test
         # nanoseconds add up here and reach the stage timers once.
         stage_ns: dict[str, int] = {}
         try:
             reduced_result = refine_directions(
-                self, work, transformed, prune_distance, qsink, scope, stage_ns
+                self, work, transformed, prune_distance, qsink, scope, stage_ns,
+                distances, witness_t,
             )
         finally:
             for name, elapsed_ns in stage_ns.items():
@@ -619,7 +688,9 @@ class DependenceAnalyzer:
         problem: DependenceProblem,
         qsink: TraceSink = NULL_SINK,
         scope: BudgetScope = NULL_SCOPE,
-    ) -> DependenceResult:
+    ) -> tuple[DependenceResult, _Preparation | None]:
+        """The plain verdict, and what a direction query can reuse (None
+        when the pair is independent)."""
         work = problem
         surviving = list(range(problem.n_common))
         if self.eliminate_unused:
@@ -653,8 +724,9 @@ class DependenceAnalyzer:
                     qsink.emit(
                         EgcdResolved(independent=True, reused=True, elapsed_ns=0)
                     )
-                return DependenceResult(
-                    dependent=False, decided_by="gcd", from_memo=True
+                return (
+                    DependenceResult(dependent=False, decided_by="gcd", from_memo=True),
+                    None,
                 )
 
         # Resolve the equalities before touching the with-bounds table:
@@ -663,7 +735,7 @@ class DependenceAnalyzer:
         outcome = self._gcd_outcome(work, nb_entry, qsink)
         if outcome.independent:
             self.stats.inc("gcd_independent")
-            return DependenceResult(dependent=False, decided_by="gcd")
+            return DependenceResult(dependent=False, decided_by="gcd"), None
 
         key_bounds = None
         if memo is not None:
@@ -675,7 +747,7 @@ class DependenceAnalyzer:
             if hit:
                 self.stats.inc("memo_hits_bounds")
                 entry: _CachedVerdict = cached
-                return DependenceResult(
+                result = DependenceResult(
                     dependent=entry.dependent,
                     decided_by=entry.decided_by,
                     exact=entry.exact,
@@ -684,6 +756,13 @@ class DependenceAnalyzer:
                     distance=self._present_distance(
                         entry.distance_reduced, flipped, problem, surviving
                     ),
+                )
+                if not entry.dependent:
+                    return result, None
+                # The entry's distances are this transform's: an equal
+                # key means an equal canonical reduced problem.
+                return result, _Preparation(
+                    work, outcome, entry.distance_reduced, None
                 )
 
         transformed = outcome.transformed
@@ -720,7 +799,11 @@ class DependenceAnalyzer:
                     distance_reduced=distance_reduced,
                 ),
             )
-        return result
+        if not dependent:
+            return result, None
+        return result, _Preparation(
+            work, outcome, distance_reduced, decision.witness_t
+        )
 
     def _present_distance(
         self,
@@ -773,8 +856,15 @@ class DependenceAnalyzer:
         work: DependenceProblem,
         nb_entry,
         qsink: TraceSink = NULL_SINK,
+        known: GcdOutcome | None = None,
     ) -> GcdOutcome:
-        """Extended GCD, reusing a cached factorization when available."""
+        """Extended GCD, reusing a cached factorization when available.
+
+        ``known`` is ``work``'s outcome as this pair's plain query found
+        it; it stands in for the rebuild or the reduction, and the memo
+        table and trace see the same probe, insert and event as without
+        it.
+        """
         if nb_entry is not _MISS:
             entry: _GcdCacheEntry = nb_entry
             if entry.independent:
@@ -784,7 +874,9 @@ class DependenceAnalyzer:
                     )
                 return GcdOutcome(independent=True)
             start = time.perf_counter_ns() if qsink.enabled else 0
-            rebuilt = self._rebuild_transform(work, entry)
+            rebuilt = (
+                known if known is not None else self._rebuild_transform(work, entry)
+            )
             if qsink.enabled:
                 qsink.emit(
                     EgcdResolved(
@@ -795,7 +887,7 @@ class DependenceAnalyzer:
                 )
             return rebuilt
         start = time.perf_counter_ns() if qsink.enabled else 0
-        outcome = gcd_transform(work)
+        outcome = known if known is not None else gcd_transform(work)
         if qsink.enabled:
             qsink.emit(
                 EgcdResolved(
@@ -848,6 +940,7 @@ class DependenceAnalyzer:
         sink: TraceSink = NULL_SINK,
         scope: BudgetScope = NULL_SCOPE,
         stage_ns: dict[str, int] | None = None,
+        hint: tuple[int, ...] | None = None,
     ) -> CascadeDecision:
         """Run SVPC -> Acyclic -> Loop Residue -> Fourier-Motzkin.
 
@@ -859,6 +952,14 @@ class DependenceAnalyzer:
         a simplified ``residual`` (and the witness-lifting
         ``completion``) the next member takes instead.
 
+        ``hint`` is an integer point over ``system``'s variables that
+        may satisfy it (a direction-refinement sub-query gets its
+        parent's witness).  The special cases run exactly as without
+        it; only the Fourier-Motzkin stage sees it, through
+        :meth:`FourierMotzkinTest.run_with_hint`, and checks it against
+        the rows that stage receives — Acyclic's residual when there
+        is one.
+
         Each stage's wall time goes to the ``time.cascade.<test>``
         timer, or, when ``stage_ns`` is given (a direction-refinement
         sub-query), adds into it for the caller to observe once.
@@ -868,7 +969,10 @@ class DependenceAnalyzer:
         result = None
         for test in self._cascade:
             scope.tick()
-            result = test.run(current, sink, scope)
+            if hint is not None and test is self._fm:
+                result = test.run_with_hint(current, hint, sink, scope)
+            else:
+                result = test.run(current, sink, scope)
             if stage_ns is None:
                 self.stats.observe_stage_ns(test.name, result.elapsed_ns)
             else:

@@ -18,6 +18,20 @@ back down (Table 5: ~900):
 * **distance-vector pruning** — a level whose GCD distance is a known
   constant has its direction forced by the distance's sign.
 
+Refinement also reuses what it has proved.  A dependent node's integer
+witness has one definite direction at the next refined level, so it
+already satisfies one of the node's three children.  All three get it as
+a hint: when a child's system reaches the Fourier-Motzkin stage, the
+stage first checks the hint against the rows it receives and, if they
+all hold, answers DEPENDENT from it instead of eliminating (see
+:meth:`DependenceAnalyzer._run_cascade`).  Those rows are Acyclic's
+residual when Acyclic ran first, which a sibling's witness can satisfy
+too; Acyclic's completion then lifts it to a witness of the whole
+child.  The root may get a hint as well: the plain query's witness,
+when the caller ran one on the same reduced system.  Every sub-query
+still runs the same tests and is credited to the same one, so the test
+counts do not move.
+
 Refinement also implements the paper's *implicit branch and bound*: a
 plain query that Fourier-Motzkin could only answer "maybe" (a real but
 possibly non-integer solution) is independent if every elementary
@@ -47,6 +61,8 @@ def refine_directions(
     sink: TraceSink = NULL_SINK,
     scope: BudgetScope = NULL_SCOPE,
     stage_ns: dict[str, int] | None = None,
+    distances: tuple[int | None, ...] | None = None,
+    witness: tuple[int, ...] | None = None,
 ) -> DirectionResult:
     """Hierarchical direction-vector refinement over a transformed system.
 
@@ -59,6 +75,11 @@ def refine_directions(
     ``stage_ns`` is given, each cascade test's nanoseconds add into it
     instead of reaching the analyzer's stage timers one sub-query at a
     time.
+
+    A caller that has already run the plain query on this transform
+    passes what it found: ``distances``, its
+    :func:`~repro.core.distances.constant_distances`, and ``witness``,
+    its cascade's t-space witness, which seeds the root's hint.
     """
     n_common = problem.n_common
 
@@ -66,7 +87,9 @@ def refine_directions(
     if prune_distance:
         from repro.core.distances import constant_distances, forced_directions
 
-        forced = forced_directions(constant_distances(transformed))
+        if distances is None:
+            distances = constant_distances(transformed)
+        forced = forced_directions(distances)
 
     template: list[str] = [
         forced.get(level, Direction.ANY) for level in range(n_common)
@@ -79,8 +102,10 @@ def refine_directions(
     leaves: set[tuple[str, ...]] = set()
     state = _RefineState(analyzer, problem, transformed, sink, scope, stage_ns)
 
-    def recurse(vector: list[str], next_refinable: int) -> None:
-        verdict, exact = state.test(tuple(vector))
+    def recurse(
+        vector: list[str], next_refinable: int, hint: tuple[int, ...] | None
+    ) -> None:
+        verdict, exact, found = state.test(tuple(vector), hint)
         if verdict is Verdict.INDEPENDENT:
             return
         if not exact:
@@ -91,10 +116,10 @@ def refine_directions(
         level = refinable[next_refinable]
         for direction in Direction.ALL:
             vector[level] = direction
-            recurse(vector, next_refinable + 1)
+            recurse(vector, next_refinable + 1, found)
         vector[level] = Direction.ANY
 
-    recurse(template, 0)
+    recurse(template, 0, witness)
     # recurse refers to itself through its closure; dropping the name
     # frees this refinement's state now, not at a cyclic collection.
     del recurse
@@ -156,8 +181,15 @@ class _RefineState:
             self._level_rows[key] = rows
         return rows
 
-    def test(self, vector: tuple[str, ...]) -> tuple[Verdict, bool]:
-        """Run the cascade under the vector's direction constraints."""
+    def test(
+        self, vector: tuple[str, ...], hint: tuple[int, ...] | None
+    ) -> tuple[Verdict, bool, tuple[int, ...] | None]:
+        """Run the cascade under the vector's direction constraints.
+
+        Returns the verdict, its exactness and, when dependent, the
+        t-space witness.  ``hint`` goes to the cascade's
+        Fourier-Motzkin stage.
+        """
         # Refinement fans out up to 3^depth sub-queries: the budget's
         # wall clock governs the whole tree walk.
         self.scope.tick()
@@ -171,6 +203,7 @@ class _RefineState:
             sink=self.sink,
             scope=self.scope,
             stage_ns=self.stage_ns,
+            hint=hint,
         )
         result = decision.result
         self.tests += 1
@@ -184,4 +217,4 @@ class _RefineState:
                     verdict=result.verdict.value,
                 )
             )
-        return result.verdict, result.exact
+        return result.verdict, result.exact, decision.witness_t

@@ -242,12 +242,12 @@ def _run_shard(payload):
                 analyzer._problem_cache[(ref1, nest1, ref2, nest2)] = problem
     answers = []
     for rep_index, ref1, nest1, ref2, nest2 in reps:
-        result = analyzer.analyze(ref1, nest1, ref2, nest2)
-        directions = None
         if opts["want_directions"]:
-            directions = analyzer.directions_after(
-                result, ref1, nest1, ref2, nest2
+            result, directions = analyzer.analyze_with_directions(
+                ref1, nest1, ref2, nest2
             )
+        else:
+            result, directions = analyzer.analyze(ref1, nest1, ref2, nest2), None
         answers.append((rep_index, result, directions))
     events = shard_sink.events if shard_sink is not None else []
     return answers, analyzer.stats, memoizer, events

@@ -21,6 +21,16 @@ range.  Two refinements recover exactness in common cases:
   (treated as dependent); the paper never needed explicit branching on
   its workload and neither do we on ours.
 
+Direction refinement often knows an integer point of the system
+already: the witness of the node it refines.
+:meth:`FourierMotzkinTest.run_with_hint` checks such a point against
+every row first.  When all of them hold it answers DEPENDENT with the
+point as its witness and eliminates nothing; otherwise it eliminates as
+:meth:`~repro.deptests.base.CascadeTest.run` does.  Elimination is
+exact, so the verdict is the one elimination gives, except that a
+system whose branch-and-bound would run out of budget gets an exact
+DEPENDENT instead of an inexact UNKNOWN.
+
 All arithmetic is exact and integral.  The solver works on plain rows
 ``(coeffs, bound)`` meaning ``coeffs . t <= bound``: eliminations
 cross-multiply integers (with gcd renormalization, a valid integer
@@ -33,6 +43,7 @@ floor division.
 from __future__ import annotations
 
 import math
+import time
 from operator import mul
 
 from repro.deptests.base import CascadeTest, TestResult, Verdict
@@ -64,6 +75,32 @@ class FourierMotzkinTest(CascadeTest):
 
     def applicable(self, system: ConstraintSystem) -> bool:
         return True
+
+    def run_with_hint(
+        self,
+        system: ConstraintSystem,
+        hint: tuple[int, ...],
+        sink: TraceSink = NULL_SINK,
+        scope: BudgetScope = NULL_SCOPE,
+    ) -> TestResult:
+        """:meth:`run`, answered from ``hint`` when it satisfies every row.
+
+        ``hint`` is an integer point over the system's variables.  If it
+        satisfies every constraint, the system is DEPENDENT with ``hint``
+        as its witness, no elimination runs, and the trace gets one
+        ``witness_reused`` sample per variable.  Otherwise the hint is
+        ignored and the system is eliminated as usual.
+        """
+        start = time.perf_counter_ns()
+        if system.evaluate(hint):
+            if sink.enabled:
+                for var, value in enumerate(hint):
+                    sink.emit(FmSample(var=var, outcome="witness_reused", value=value))
+            result = TestResult(Verdict.DEPENDENT, self.name, witness=hint)
+        else:
+            result = self._decide(system, sink, scope)
+        result.elapsed_ns = time.perf_counter_ns() - start
+        return result
 
     def _decide(
         self, system: ConstraintSystem, sink: TraceSink, scope: BudgetScope

@@ -24,10 +24,15 @@ For every generated case the harness checks:
 5. **Unused-variable elimination** preserves verdicts and vectors.
 6. **Swap symmetry** — reversing the pair preserves the verdict and
    mirrors every direction vector.
-7. **Source round-trip** — unparse → parse → optimize → analyze
+7. **Facade ≡ analyzer** — :class:`repro.api.AnalysisSession` answers
+   the plain and the direction query in one call (handing the plain
+   query's transform and witness to the direction query); it must
+   return the verdict, deciding test, exactness, distance and
+   elementary vectors the fresh analyzer gave in two.
+8. **Source round-trip** — unparse → parse → optimize → analyze
    (through :class:`repro.api.AnalysisSession`) agrees with the direct
    in-memory analysis, fuzzing the whole frontend.
-8. **Sharded ≡ serial** (run level) — the batch engine over the whole
+9. **Sharded ≡ serial** (run level) — the batch engine over the whole
    case list must produce identical verdicts and vectors at
    ``jobs=1`` and ``jobs>1``.
 
@@ -420,18 +425,58 @@ def check_case(
                     f"{sorted(vectors)} vs flipped {sorted(mirrored_vectors)}",
                 )
 
-    # 7. the full source path: unparse -> parse -> optimize -> analyze.
+    # 7. the session facade's one-call path; a factory cannot reach
+    # the session's own analyzer.
+    if make_analyzer is None:
+        _check_facade(case, result, vectors, outcome.exact, fail)
+
+    # 8. the full source path: unparse -> parse -> optimize -> analyze.
     if e2e and make_analyzer is None:
         compiled = _check_source_roundtrip(
             case, result.dependent, vectors, dirs_exact, fail
         )
-        # 8. the Python frontend path: emit the compiled program as real
+        # 8b. the Python frontend path: emit the compiled program as real
         # Python, re-extract it through repro.frontends, and demand the
         # bit-identical dependence graph.
         if compiled is not None:
             _check_python_roundtrip(compiled, fail)
 
     return outcome
+
+
+def _check_facade(
+    case: FuzzCase,
+    result,
+    vectors: frozenset[tuple[str, ...]],
+    exact: bool,
+    fail: Callable[[str, str], None],
+) -> None:
+    """The session's one-call answer must equal the fresh analyzer's."""
+    from repro.api import AnalysisSession
+
+    report = AnalysisSession().analyze(
+        case.ref1, case.nest1, case.ref2, case.nest2, want_directions=True
+    )
+    got = (
+        report.dependent,
+        report.decided_by,
+        report.exact,
+        report.distance,
+        sorted(report.elementary_directions()),
+    )
+    want = (
+        result.dependent,
+        result.decided_by,
+        exact,
+        result.distance,
+        sorted(vectors),
+    )
+    if got != want:
+        fail(
+            "facade-vs-analyzer",
+            "session (dependent, decided_by, exact, distance, vectors) "
+            f"{got} != fresh analyzer {want}",
+        )
 
 
 def _check_source_roundtrip(

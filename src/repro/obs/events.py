@@ -121,7 +121,10 @@ class FmSample:
     ``outcome`` is ``"integer_picked"`` when a variable's range held an
     integer (``value`` is the sample), or ``"empty_constant_range"``
     for the paper's exact special case — a constant range with no
-    integer proves independence without branching.
+    integer proves independence without branching.  A stage answered
+    from a known integer point instead of eliminating (a direction
+    sub-query given its parent's witness) emits ``"witness_reused"``
+    once per variable, ``value`` being the point's coordinate.
     """
 
     kind: ClassVar[str] = "fm_sample"

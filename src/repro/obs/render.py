@@ -65,11 +65,18 @@ def format_trace(events: Iterable[Any]) -> str:
                 lines.append(
                     f"    fm sample: t{event.var} = {event.value}"
                 )
-            else:
+            elif event.outcome == "witness_reused":
+                lines.append(
+                    f"    fm witness reused: t{event.var} = {event.value} "
+                    f"(no elimination)"
+                )
+            elif event.outcome == "empty_constant_range":
                 lines.append(
                     f"    fm sample: t{event.var} range empty of integers "
                     f"(exact independence)"
                 )
+            else:
+                lines.append(f"  {event!r}")
         elif isinstance(event, DirectionNode):
             vector = "(" + ", ".join(event.vector) + ")"
             if event.action == "tested":

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import mul
 
 from repro.linalg.gcdext import floor_div
 
@@ -121,8 +122,17 @@ class LinearConstraint:
         return LinearConstraint.make(coeffs, self.bound - c * value)
 
     def evaluate(self, point: Sequence[int]) -> bool:
-        """True iff ``point`` satisfies the constraint."""
-        return sum(c * x for c, x in zip(self.coeffs, point)) <= self.bound
+        """True iff ``point`` satisfies the constraint.
+
+        ``point`` must give every variable a value: a point of another
+        length raises ``ValueError`` rather than being truncated.
+        """
+        if len(point) != len(self.coeffs):
+            raise ValueError(
+                f"point has {len(point)} values, "
+                f"constraint has {len(self.coeffs)} coefficients"
+            )
+        return sum(map(mul, self.coeffs, point)) <= self.bound
 
     def __str__(self) -> str:
         terms = [
@@ -203,8 +213,19 @@ class ConstraintSystem:
         return any(c.is_contradiction for c in self.constraints)
 
     def evaluate(self, point: Sequence[int]) -> bool:
-        """True iff ``point`` satisfies every constraint."""
-        return all(c.evaluate(point) for c in self.constraints)
+        """True iff ``point`` satisfies every constraint.
+
+        ``point`` must give every variable a value: a point of another
+        length raises ``ValueError``.  The length is checked once here,
+        not once per row.
+        """
+        if len(point) != self.n_vars:
+            raise ValueError(
+                f"point has {len(point)} values, system has {self.n_vars} variables"
+            )
+        return all(
+            sum(map(mul, c.coeffs, point)) <= c.bound for c in self.constraints
+        )
 
     def single_variable_intervals(self) -> list[Interval]:
         """Per-variable intervals implied by the one-variable constraints.

@@ -305,7 +305,10 @@ class DependenceProblem:
 
         The result is cached per ``extra_keep`` (problems are immutable
         once built, and the analyzer's problem cache replays identical
-        queries against the same instance).
+        queries against the same instance).  When ``extra_keep`` adds
+        nothing to the equations' closure and that closure's reduction
+        is cached already, the same reduced problem comes back, so a
+        pair's plain and direction queries share one object.
         """
         cache_key = (
             "elim",
@@ -316,6 +319,13 @@ class DependenceProblem:
             reduced, surviving = cached
             return reduced, list(surviving)
         used = self.used_variable_closure(extra_keep)
+        if extra_keep:
+            plain = self._key_cache.get(("elim", None))
+            # The closure only grows with extra_keep: equal sizes mean
+            # equal variable sets.
+            if plain is not None and plain[0].n_vars == len(used):
+                self._key_cache[cache_key] = plain
+                return plain[0], list(plain[1])
         keep = sorted(used)
         unused_mask = ~sum(1 << v for v in keep)
 

@@ -113,6 +113,21 @@ class TestSystem:
         assert system.evaluate((0, 5))
         assert not system.evaluate((0, 6))
 
+    def test_evaluate_rejects_a_point_of_the_wrong_length(self):
+        # zip() would truncate: (-5,) once read as satisfying a + b <= 0.
+        row = LinearConstraint((1, 1), 0)
+        system = ConstraintSystem(("a", "b"), [row])
+        for point in ((-5,), (-1,), (0, 0, 0)):
+            with pytest.raises(ValueError):
+                row.evaluate(point)
+            with pytest.raises(ValueError):
+                system.evaluate(point)
+        assert row.evaluate((-5, 5)) and not row.evaluate((1, 0))
+        assert system.evaluate((-1, 1)) and not system.evaluate((0, 1))
+        assert ConstraintSystem(("a", "b")).evaluate((7, 7))
+        with pytest.raises(ValueError):
+            ConstraintSystem(("a", "b")).evaluate(())
+
     def test_used_variables_and_max_arity(self):
         system = ConstraintSystem(("a", "b", "c"))
         system.add([1, 0, 0], 3)

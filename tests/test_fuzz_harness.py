@@ -109,6 +109,24 @@ class TestFaultInjection:
         assert smallest.nest1.depth + smallest.nest2.depth <= 2
         assert len(smallest.problem().bounds.constraints) <= 4
 
+    def test_facade_checked_without_the_e2e_steps(self, monkeypatch):
+        """A one-call path that drops a direction vector is caught even
+        with the source round trip off (CI's ``--no-e2e`` oracle step)."""
+        real = DependenceAnalyzer.analyze_with_directions
+
+        def lossy(self, *query):
+            result, directions = real(self, *query)
+            if directions.vectors:
+                directions.vectors = frozenset(sorted(directions.vectors)[1:])
+            return result, directions
+
+        case = generate_case(0, 4, "triangular")
+        clean = check_case(case, e2e=False)
+        assert clean.dependent and not clean.discrepancies
+        monkeypatch.setattr(DependenceAnalyzer, "analyze_with_directions", lossy)
+        kinds = {d.kind for d in check_case(case, e2e=False).discrepancies}
+        assert kinds == {"facade-vs-analyzer"}
+
     def test_broken_analyzer_rejected_with_jobs(self):
         with pytest.raises(ValueError):
             run_fuzz(

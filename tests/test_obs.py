@@ -67,6 +67,7 @@ class TestEventSerialization:
         FmBranch(var=1, depth=2, split_floor=3, budget_left=250),
         FmSample(var=0, outcome="integer_picked", value=-4),
         FmSample(var=2, outcome="empty_constant_range"),
+        FmSample(var=1, outcome="witness_reused", value=3),
         DirectionNode(vector=("<", "*"), action="tested", verdict="independent"),
         QueryEnd(dependent=True, decided_by="svpc", exact=True, elapsed_ns=9),
     ]
@@ -423,6 +424,44 @@ class TestGoldenTraces:
         analyze_batch(queries, jobs=1)
         assert analyzer.stats.total_queries == 2 * len(queries)
         assert built == []
+
+    def test_render_tells_each_fm_sample_outcome_apart(self):
+        text = format_trace(
+            [
+                FmSample(var=0, outcome="integer_picked", value=-4),
+                FmSample(var=1, outcome="witness_reused", value=3),
+                FmSample(var=2, outcome="empty_constant_range"),
+                FmSample(var=3, outcome="from_a_later_version"),
+            ]
+        )
+        assert text.splitlines() == [
+            "    fm sample: t0 = -4",
+            "    fm witness reused: t1 = 3 (no elimination)",
+            "    fm sample: t2 range empty of integers (exact independence)",
+            "  FmSample(var=3, outcome='from_a_later_version', value=None, "
+            "query_id=None)",
+        ]
+
+    def test_explain_shows_a_reused_witness_as_dependence(self):
+        """A refinement child answered from its parent's witness reads
+        as a reused point, never as an independence proof."""
+        from repro.api import AnalysisSession
+        from repro.fuzz.generator import generate_case
+
+        case = generate_case(0, 4, "triangular")
+        explained = AnalysisSession().explain(
+            case.ref1, case.nest1, case.ref2, case.nest2
+        )
+        assert explained.report.dependent
+        reused = [
+            e
+            for e in explained.events
+            if isinstance(e, FmSample) and e.outcome == "witness_reused"
+        ]
+        assert reused
+        text = explained.render()
+        assert "    fm witness reused: t0 = 2 (no elimination)" in text
+        assert "exact independence" not in text
 
     def test_render_formats_every_event_kind(self):
         w = B.ref("a", [B.v("i") + 1], write=True)
